@@ -6,9 +6,10 @@ network once into CSR-style adjacency arrays and advances *all* nodes
 per round with vectorized array operations:
 
 * **Phase-1 rank draws** are replicated bit-exactly through
-  :mod:`repro.congest.engine.fastrng` (vectorized SeedSequence → PCG64 →
-  Lemire pipeline), so the fast engine consumes the exact random stream
-  the reference engine's per-node Generators would.
+  :mod:`repro.congest.engine.fastrng` (vectorized SeedSequence → PCG64
+  jump-ahead → Lemire pipeline, every draw of every owner in one array
+  pass), so the fast engine consumes the exact random stream the
+  reference engine's per-node Generators would.
 * **Minimum-rank selection and the §3.1 priority rule** are
   struct-of-arrays operations: each node's current execution tag is a
   ``(rank, edge_u, edge_v)`` triple held in three int64 arrays, and the
@@ -43,7 +44,7 @@ should use the reference engine.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -53,12 +54,36 @@ from ..message import SequenceBundle
 from ..network import Network
 from ..scheduler import RunResult
 from .base import CongestEngine
-from .fastrng import MAX_UINT32_ENTROPY, RankStreams
+from .fastrng import MAX_UINT32_ENTROPY, JumpTable, RankStreams
 
 __all__ = ["FastEngine"]
 
 #: Sentinel rank for "no tag"; real ranks are in [1, m**2].
 _INF = np.int64(1) << np.int64(62)
+
+
+def draw_owner_ranks(
+    owner_ids: np.ndarray,
+    counts: np.ndarray,
+    rep_seeds: Sequence[int],
+    m: int,
+    jumps: JumpTable,
+) -> np.ndarray:
+    """Phase-1 ranks of the owners ``owner_ids`` for several repetitions.
+
+    Row ``r`` holds repetition ``rep_seeds[r]``'s draws: ``counts[i]``
+    ranks in ``[1, m**2]`` from owner ``i``'s stream, owner by owner —
+    the order of the owned half-edges.  The per-``(rep, owner)`` streams
+    are independent, so stacking all of them into one
+    :class:`RankStreams` batch, or keeping only some owners, leaves every
+    stream's draws bit-identical to the reference engine's.
+    """
+    words = np.asarray([int(s) & 0x7FFFFFFF for s in rep_seeds], dtype=np.uint64)
+    streams = RankStreams(
+        np.repeat(words, len(owner_ids)), np.tile(owner_ids, len(words)), jumps
+    )
+    ranks = streams.draw(np.tile(counts, len(words)), 1, m * m + 1)
+    return ranks.reshape(len(words), -1)
 
 
 class FastEngine(CongestEngine):
@@ -115,10 +140,10 @@ class FastEngine(CongestEngine):
         owners, counts = np.unique(owner_of_owned, return_counts=True)
         self._owners = owners
         self._owner_counts = counts
-        # Slot offsets of each owner's first draw in self._owned_he order.
-        self._owner_offsets = np.concatenate(
-            ([0], np.cumsum(counts[:-1]))
-        ) if len(counts) else np.zeros(0, dtype=np.int64)
+        # PCG64 jump-ahead coefficients for the busiest owner's draws.
+        self._jumps = JumpTable.for_draws(
+            int(counts.max()) if len(counts) else 0, 1, g.m * g.m + 1
+        )
         # Audit constants (computed through the public SizeModel API so the
         # aggregate audit charges exactly what per-message observe() would).
         model = self._size_model
@@ -147,7 +172,7 @@ class FastEngine(CongestEngine):
                 self._ids, self._indptr, self._indices, self._degrees,
                 self._all_v, self._he_src, self._he_dst, self._he_a,
                 self._he_b, self._edge_of_he, self._owned_he, self._owners,
-                self._owner_counts, self._owner_offsets,
+                self._owner_counts, self._jumps.coeffs,
             )
         )
 
@@ -270,24 +295,15 @@ class FastEngine(CongestEngine):
     # ------------------------------------------------------------------
     # Phase 1: rank draws + selection
     # ------------------------------------------------------------------
-    def _draw_edge_ranks(self, rep_seed: int) -> np.ndarray:
-        """Per-edge Phase-1 ranks, bit-identical to the reference draws."""
-        g = self._net.graph
-        m = g.m
-        hi = m * m
-        edge_rank = np.zeros(m, dtype=np.int64)
-        if not len(self._owners):
-            return edge_rank
-        seed_word = int(rep_seed) & 0x7FFFFFFF
-        streams = RankStreams(seed_word, self._ids[self._owners])
-        counts = self._owner_counts
-        offsets = self._owner_offsets
-        ranks_in_draw_order = np.zeros(len(self._owned_he), dtype=np.int64)
-        for j in range(int(counts.max())):
-            active = np.nonzero(counts > j)[0]
-            draws = streams.integers(active, 1, hi + 1)
-            ranks_in_draw_order[offsets[active] + j] = draws
-        edge_rank[self._edge_of_he[self._owned_he]] = ranks_in_draw_order
+    def _draw_edge_ranks(self, rep_seeds: Sequence[int]) -> np.ndarray:
+        """Per-edge Phase-1 ranks, one row per repetition seed,
+        bit-identical to the reference draws."""
+        m = self._net.graph.m
+        edge_rank = np.zeros((len(rep_seeds), m), dtype=np.int64)
+        if len(self._owners):
+            edge_rank[:, self._edge_of_he[self._owned_he]] = draw_owner_ranks(
+                self._ids[self._owners], self._owner_counts, rep_seeds, m, self._jumps
+            )
         return edge_rank
 
     def _select_minima(
@@ -310,41 +326,6 @@ class FastEngine(CongestEngine):
     # ------------------------------------------------------------------
     # Chunked (cross-repetition) kernels
     # ------------------------------------------------------------------
-    def _draw_edge_ranks_chunk(self, rep_seeds: List[int]) -> np.ndarray:
-        """Phase-1 ranks for several repetitions in one batched pass.
-
-        Row ``r`` is bit-identical to ``_draw_edge_ranks(rep_seeds[r])``:
-        the per-``(rep, owner)`` streams are independent, so stacking
-        them into one :class:`RankStreams` batch preserves every
-        stream's draw order exactly.
-        """
-        g = self._net.graph
-        m = g.m
-        hi = m * m
-        C = len(rep_seeds)
-        edge_rank = np.zeros((C, m), dtype=np.int64)
-        if not len(self._owners):
-            return edge_rank
-        n_own = len(self._owners)
-        words = np.asarray(
-            [int(s) & 0x7FFFFFFF for s in rep_seeds], dtype=np.uint64
-        )
-        streams = RankStreams(
-            np.repeat(words, n_own), np.tile(self._ids[self._owners], C)
-        )
-        counts = np.tile(self._owner_counts, C)
-        slots = len(self._owned_he)
-        offsets = np.tile(self._owner_offsets, C) + np.repeat(
-            np.arange(C, dtype=np.int64) * slots, n_own
-        )
-        ranks = np.zeros(C * slots, dtype=np.int64)
-        for j in range(int(self._owner_counts.max())):
-            active = np.nonzero(counts > j)[0]
-            draws = streams.integers(active, 1, hi + 1)
-            ranks[offsets[active] + j] = draws
-        edge_rank[:, self._edge_of_he[self._owned_he]] = ranks.reshape(C, slots)
-        return edge_rank
-
     def _select_minima_chunk(
         self, edge_rank: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -458,7 +439,7 @@ class FastEngine(CongestEngine):
 
         # Round 1 — rank draws, batched across the whole chunk.
         with prof.phase("rank_draws"):
-            edge_rank = self._draw_edge_ranks_chunk(rep_seeds)
+            edge_rank = self._draw_edge_ranks(rep_seeds)
         for trace in traces:
             stats = self._begin_round(trace, 1)
             if len(self._owners):
@@ -623,7 +604,7 @@ class FastEngine(CongestEngine):
         # Round 1 — every owned edge's rank crosses the edge (one message).
         stats = self._begin_round(trace, 1)
         with prof.phase("rank_draws"):
-            edge_rank = self._draw_edge_ranks(rep_seed)
+            edge_rank = self._draw_edge_ranks([rep_seed])[0]
         if len(self._owners):
             bits = self._bits_rank_msg
             stats.messages = g.m

@@ -13,14 +13,22 @@ numpy array operations over all nodes at once:
    across nodes.  The hash-constant schedule is data-independent, so the
    per-step multipliers are scalars and the pool updates are plain
    uint32 array arithmetic.
-2. **PCG64 initialization and stepping** — the 128-bit LCG state is kept
-   as four 32-bit limbs in uint64 arrays; ``state * MULT + inc`` is a
-   4-limb schoolbook multiply, and the XSL-RR output function produces
-   one uint64 per node per step.
-3. **Bounded draws** — numpy's ``Generator.integers`` bounded paths,
-   including Lemire rejection sampling (32-bit buffered and 64-bit
-   variants) and the power-of-two special cases, with the same
-   buffered-halves consumption order as ``pcg64_next32``.
+2. **PCG64 initialization** — the 128-bit LCG state is kept as a
+   (high, low) pair of uint64 words; a 128-bit product splits the low
+   words into 32-bit halves, and the cross terms wrap into the high word.
+3. **Bounded draws by jump-ahead** — ``s`` LCG steps map a state ``x``
+   to ``A_s * x + B_s * inc`` (mod 2**128), where ``A_s = MULT**s`` and
+   ``B_s`` is the geometric sum of the lower powers.  With the
+   ``(A_s, B_s)`` coefficients tabulated once (:class:`JumpTable`),
+   every step of every stream is computed in one array pass, not one
+   pass per step.  The XSL-RR outputs then go through numpy's
+   ``Generator.integers`` bounded paths all at once: Lemire rejection
+   (on buffered 32-bit halves, low half first as in ``pcg64_next32``,
+   below 2**32; on 64-bit words above), the full-range raw words, and
+   the zero-width range, which consumes nothing.  The first pass
+   generates exactly the words a rejection-free draw needs; only
+   streams left short by rejections get top-up passes, each continuing
+   from that stream's last step.
 
 Every path is asserted bit-identical to numpy in
 ``tests/test_engines.py`` (``TestFastRngExactness``); the fast engine's
@@ -37,49 +45,57 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["RankStreams", "MAX_UINT32_ENTROPY"]
+__all__ = ["JumpTable", "RankStreams", "MAX_UINT32_ENTROPY"]
 
 # --- SeedSequence constants (O'Neill seed_seq / numpy bit_generator) ---
-_INIT_A = np.uint64(0x43B0D7E5)
-_MULT_A = np.uint64(0x931E8875)
-_INIT_B = np.uint64(0x8B51F9DD)
-_MULT_B = np.uint64(0x58F38DED)
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
 _MIX_MULT_L = np.uint64(0xCA01F9DD)
 _MIX_MULT_R = np.uint64(0x4973F715)
 _XSHIFT = np.uint64(16)
 _POOL_SIZE = 4
 _U32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_MASK64 = (1 << 64) - 1
 
 # --- PCG64 constants ---
-#: PCG_DEFAULT_MULTIPLIER_128 split into four 32-bit limbs, little-endian.
-_PCG_MULT = (0x9FCCF645, 0x4385DF64, 0x1FC65DA4, 0x2360ED05)
+#: PCG_DEFAULT_MULTIPLIER_128.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MOD128 = 1 << 128
 
 MAX_UINT32_ENTROPY = 1 << 32
+
+
+def _hash_schedule(init: int, mult: int, count: int) -> np.ndarray:
+    """seed_seq's data-independent hash constants: ``(2, count, 1)`` rows
+    of the constant each hash XORs in and the one it then multiplies by
+    (the constant is advanced in between)."""
+    xors, mults = [], []
+    c = init
+    for _ in range(count):
+        xors.append(c)
+        c = (c * mult) & 0xFFFFFFFF
+        mults.append(c)
+    return np.array([xors, mults], dtype=np.uint64)[:, :, None]
+
+
+#: The hashmix constants of the entropy pool: four to fill it, then three
+#: per source word while mixing.  Four pool words make eight output words.
+_POOL_HASH = _hash_schedule(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_STATE_HASH = _hash_schedule(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
 
 
 def _u32_arr(x) -> np.ndarray:
     return np.asarray(x, dtype=np.uint64) & _U32
 
 
-class _HashConst:
-    """The data-independent hash-constant schedule of seed_seq."""
-
-    def __init__(self, init: np.uint64) -> None:
-        self._c = np.uint64(init)
-
-    def step(self) -> np.uint64:
-        """Return the post-update constant (seed_seq multiplies first)."""
-        self._c = (self._c * _MULT_A) & _U32
-        return self._c
-
-
-def _hashmix(value: np.ndarray, const: _HashConst) -> np.ndarray:
-    """seed_seq's ``hashmix``: value ^= c; c *= MULT_A; value *= c; xshift."""
-    value = value ^ const._c
-    c = const.step()
-    value = (value * c) & _U32
-    value ^= value >> _XSHIFT
-    return value
+def _hash(value: np.ndarray, schedule: np.ndarray) -> np.ndarray:
+    """seed_seq's hash of each row of ``value`` under its own constants:
+    ``value ^= c; c *= MULT; value *= c; value ^= value >> 16``."""
+    value = ((value ^ schedule[0]) * schedule[1]) & _U32
+    return value ^ (value >> _XSHIFT)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -92,90 +108,125 @@ def _seed_pools(seed_word, ids: np.ndarray) -> np.ndarray:
     """Entropy pools of ``SeedSequence((seed_word, id))`` for every id.
 
     ``seed_word`` is either one shared first entropy word or an array of
-    per-stream words (one per id) — the latter is how the chunked rank
-    kernels stack several repetitions' streams into one batch.  Returns
-    an ``(n, 4)`` uint64 array of 32-bit pool words.
+    per-stream words (one per id) — the latter is how the engines stack
+    several repetitions' streams into one batch.  Returns
+    a ``(4, n)`` uint64 array of 32-bit pool words.
     """
-    n = len(ids)
-    if np.ndim(seed_word) == 0:
-        word0 = np.full(n, int(seed_word) & 0xFFFFFFFF, dtype=np.uint64)
-    else:
-        word0 = _u32_arr(seed_word)
-    entropy = [word0, _u32_arr(ids)]
-    pool = np.zeros((n, _POOL_SIZE), dtype=np.uint64)
-    const = _HashConst(_INIT_A)
-    for i in range(_POOL_SIZE):
-        src = entropy[i] if i < len(entropy) else np.zeros(n, dtype=np.uint64)
-        pool[:, i] = _hashmix(src, const)
+    entropy = np.zeros((_POOL_SIZE, len(ids)), dtype=np.uint64)
+    entropy[0] = _u32_arr(seed_word)
+    entropy[1] = _u32_arr(ids)
+    pool = _hash(entropy, _POOL_HASH[:, :_POOL_SIZE])
+    # Mixing in one source word never changes that word, so its three
+    # destinations are hashed and mixed together.
     for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[:, i_dst] = _mix(pool[:, i_dst], _hashmix(pool[:, i_src], const))
+        k = _POOL_SIZE + 3 * i_src
+        dst = [i for i in range(_POOL_SIZE) if i != i_src]
+        pool[dst] = _mix(pool[dst], _hash(pool[i_src], _POOL_HASH[:, k : k + 3]))
     # entropy fits inside the pool (2 words <= 4): no tail loop needed.
     return pool
 
 
-def _generate_state_words(pool: np.ndarray, n_words64: int) -> np.ndarray:
-    """``SeedSequence.generate_state(n_words64, np.uint64)`` for all pools.
+def _generate_state_words(pool: np.ndarray) -> np.ndarray:
+    """``SeedSequence.generate_state(4, np.uint64)`` for all pools.
 
-    Returns ``(n, n_words64)`` uint64.
+    Returns ``(4, n)`` uint64: row *j* holds every stream's word *j*.
     """
-    n = pool.shape[0]
-    n32 = n_words64 * 2
-    out32 = np.zeros((n, n32), dtype=np.uint64)
-    hash_const = np.uint64(_INIT_B)
-    for i_dst in range(n32):
-        data = pool[:, i_dst % _POOL_SIZE].copy()
-        data ^= hash_const
-        hash_const = (hash_const * _MULT_B) & _U32
-        data = (data * hash_const) & _U32
-        data ^= data >> _XSHIFT
-        out32[:, i_dst] = data
+    out32 = _hash(np.tile(pool, (2, 1)), _STATE_HASH)
     # uint32 pairs viewed as uint64, little-endian: low word first.
-    out = np.empty((n, n_words64), dtype=np.uint64)
-    for j in range(n_words64):
-        out[:, j] = out32[:, 2 * j] | (out32[:, 2 * j + 1] << np.uint64(32))
-    return out
+    return out32[0::2] | (out32[1::2] << _S32)
 
 
 # ---------------------------------------------------------------------------
-# PCG64 as 32-bit limbs
+# PCG64 as 64-bit word pairs
 # ---------------------------------------------------------------------------
-def _mul128(limbs: np.ndarray, const_limbs: Tuple[int, ...]) -> np.ndarray:
-    """``(n, 4)`` limb arrays times a 128-bit constant, mod 2**128."""
-    out = np.zeros_like(limbs)
-    carry = np.zeros(limbs.shape[0], dtype=np.uint64)
-    for k in range(4):
-        acc = carry.copy()
-        carry = np.zeros_like(carry)
-        for i in range(k + 1):
-            p = limbs[:, i] * np.uint64(const_limbs[k - i])
-            acc += p & _U32
-            carry += p >> np.uint64(32)
-        carry += acc >> np.uint64(32)
-        out[:, k] = acc & _U32
-    return out
+# A 128-bit value is a (high, low) pair of uint64 words; arrays of values
+# are (2, ...) uint64 with row 0 the high words and row 1 the low words.
+def _pair(value: int) -> np.ndarray:
+    """A 128-bit integer as a ``(2, 1)`` word column (broadcasts)."""
+    return np.array([[value >> 64], [value & _MASK64]], dtype=np.uint64)
 
 
-def _add128(limbs: np.ndarray, other: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(limbs)
-    carry = np.zeros(limbs.shape[0], dtype=np.uint64)
-    for k in range(4):
-        s = limbs[:, k] + other[:, k] + carry
-        out[:, k] = s & _U32
-        carry = s >> np.uint64(32)
-    return out
+def _mul64(u: np.ndarray, v_hi, v_lo) -> Tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit product ``u * v``, with ``v``
+    given as 32-bit halves (``v_hi`` may be 2**32, so ``v <= 2**64``)."""
+    u_hi = u >> _S32
+    u_lo = u & _U32
+    p0 = u_lo * v_lo
+    p1 = u_lo * v_hi
+    p2 = u_hi * v_lo
+    mid = (p0 >> _S32) + (p1 & _U32) + (p2 & _U32)
+    high = u_hi * v_hi + (p1 >> _S32) + (p2 >> _S32) + (mid >> _S32)
+    return high, (p0 & _U32) | (mid << _S32)
 
 
-def _limbs_from_words(high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """(n,) high/low uint64 words -> (n, 4) little-endian 32-bit limbs."""
-    n = len(high)
-    limbs = np.empty((n, 4), dtype=np.uint64)
-    limbs[:, 0] = low & _U32
-    limbs[:, 1] = low >> np.uint64(32)
-    limbs[:, 2] = high & _U32
-    limbs[:, 3] = high >> np.uint64(32)
-    return limbs
+def _mul128(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x * y mod 2**128`` for broadcastable ``(2, ...)`` word pairs."""
+    high, low = _mul64(x[1], y[1] >> _S32, y[1] & _U32)
+    # The cross terms only reach the high word (mod 2**64).
+    return np.stack((high + x[0] * y[1] + x[1] * y[0], low))
+
+
+def _add128(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x + y mod 2**128`` for broadcastable ``(2, ...)`` word pairs."""
+    low = x[1] + y[1]
+    return np.stack((x[0] + y[0] + (low < y[1]), low))
+
+
+def _xsl_rr(st: np.ndarray) -> np.ndarray:
+    """PCG64's XSL-RR output of ``(2, n)`` states: one uint64 each."""
+    x = st[0] ^ st[1]
+    rot = st[0] >> np.uint64(58)  # top 6 bits of the 128-bit state
+    return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+
+
+def _values_per_word(rng: int) -> int:
+    """Bounded values one PCG64 step yields for inclusive width ``rng``:
+    two buffered 32-bit halves below 2**32, else one 64-bit word."""
+    return 2 if rng <= 0xFFFFFFFF else 1
+
+
+class JumpTable:
+    """PCG64 jump-ahead coefficients for 1..``steps`` steps.
+
+    ``s`` steps take an LCG state ``x`` to ``A_s * x + B_s * inc`` (mod
+    2**128), with ``A_s = M**s`` and ``B_s = M**(s-1) + ... + M + 1``.
+    ``coeffs[:, 0, s]`` and ``coeffs[:, 1, s]`` hold ``A_s`` and ``B_s``
+    as word pairs.  The array is read-only, so one table can serve every
+    draw of a compiled engine.
+    """
+
+    def __init__(self, steps: int) -> None:
+        self.steps = max(int(steps), 1)
+        a_s, b_s = [], []
+        a, b = 1, 0
+        for _ in range(self.steps + 1):
+            a_s.append(a)
+            b_s.append(b)
+            a, b = (a * _PCG_MULT) % _MOD128, (b * _PCG_MULT + 1) % _MOD128
+        self.coeffs = np.array(
+            [
+                [[v >> 64 for v in a_s], [v >> 64 for v in b_s]],
+                [[v & _MASK64 for v in a_s], [v & _MASK64 for v in b_s]],
+            ],
+            dtype=np.uint64,
+        )
+        self.coeffs.setflags(write=False)
+
+    @classmethod
+    def for_draws(cls, count: int, low: int, high: int) -> "JumpTable":
+        """The table covering ``count`` rejection-free draws of
+        ``integers(low, high)`` from each stream in one pass."""
+        return cls(-(-int(count) // _values_per_word(high - 1 - low)))
+
+
+def _jump(x_inc: np.ndarray, steps: np.ndarray, jumps: JumpTable) -> np.ndarray:
+    """The states after 1, 2, ..., ``steps[i]`` steps of every stream
+    ``i``, stream by stream: ``(2, steps.sum())`` word pairs.  ``x_inc``
+    stacks each stream's current state and increment, ``(2, 2, n)``."""
+    seg = np.repeat(np.arange(len(steps)), steps)
+    s = np.arange(len(seg)) - np.repeat(np.cumsum(steps) - steps - 1, steps)
+    terms = _mul128(jumps.coeffs[:, :, s], x_inc[:, :, seg])
+    return _add128(terms[:, 0], terms[:, 1])
 
 
 class RankStreams:
@@ -186,121 +237,93 @@ class RankStreams:
     seed_word:
         The shared first entropy word (the tester uses
         ``rep_seed & 0x7FFFFFFF``), or an array of one word per stream —
-        the chunked kernels pass ``repeat(rep_words, owners)`` to run
-        several repetitions' streams side by side in one batch.
+        the engines pass ``repeat(rep_words, owners)`` to run several
+        repetitions' streams side by side in one batch.
     ids:
         One CONGEST ID per stream; stream *i* replicates
         ``np.random.default_rng(np.random.SeedSequence((seed_word, ids[i])))``
         (with ``seed_word[i]`` in the per-stream-word form).
+    jumps:
+        The :class:`JumpTable` to step with.  Any length is exact; a table
+        shorter than a draw needs only costs extra passes.
     """
 
-    def __init__(self, seed_word, ids: np.ndarray) -> None:
+    def __init__(self, seed_word, ids: np.ndarray, jumps: JumpTable) -> None:
         ids = np.asarray(ids, dtype=np.uint64)
         if ids.size and int(ids.max()) >= MAX_UINT32_ENTROPY:
             raise ValueError("RankStreams requires IDs < 2**32")
-        words = _generate_state_words(_seed_pools(seed_word, ids), 4)
-        initstate = _limbs_from_words(words[:, 0], words[:, 1])
-        initseq = _limbs_from_words(words[:, 2], words[:, 3])
+        words = _generate_state_words(_seed_pools(seed_word, ids))
+        initstate = words[:2]  # (high, low) word pairs
+        seq_hi, seq_lo = words[2], words[3]
         # pcg_setseq_128_srandom: inc = (initseq << 1) | 1;
         # state = ((0 * M + inc) + initstate) * M + inc.
-        inc = np.zeros_like(initseq)
-        carry = np.zeros(len(ids), dtype=np.uint64)
-        for k in range(4):
-            shifted = ((initseq[:, k] << np.uint64(1)) & _U32) | carry
-            carry = initseq[:, k] >> np.uint64(31)
-            inc[:, k] = shifted
-        inc[:, 0] |= np.uint64(1)
-        self._inc = inc
-        state = _add128(inc, initstate)
-        state = _add128(_mul128(state, _PCG_MULT), inc)
-        self._state = state
-        # pcg64_next32 buffering: low half first, high half stored.
-        self._has32 = np.zeros(len(ids), dtype=bool)
-        self._buf32 = np.zeros(len(ids), dtype=np.uint64)
+        inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
+        inc = np.stack((inc_hi, (seq_lo << np.uint64(1)) | np.uint64(1)))
+        state = _add128(_mul128(_pair(_PCG_MULT), _add128(inc, initstate)), inc)
+        # Each stream's state and increment, stacked as _jump takes them.
+        self._x_inc = np.stack((state, inc), axis=1)
+        self._jumps = jumps
 
     def __len__(self) -> int:
-        return len(self._has32)
+        return self._x_inc.shape[2]
 
-    # ------------------------------------------------------------------
-    def _next64(self, idx: np.ndarray) -> np.ndarray:
-        """Advance streams ``idx`` and return their XSL-RR outputs."""
-        st = _add128(_mul128(self._state[idx], _PCG_MULT), self._inc[idx])
-        self._state[idx] = st
-        low = st[:, 0] | (st[:, 1] << np.uint64(32))
-        high = st[:, 2] | (st[:, 3] << np.uint64(32))
-        x = high ^ low
-        rot = st[:, 3] >> np.uint64(26)  # top 6 bits of the 128-bit state
-        return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    def draw(self, counts, low: int, high: int) -> np.ndarray:
+        """``counts[i]`` draws of ``Generator.integers(low, high)`` from
+        every stream *i*, as one flat int64 array: stream 0's draws in
+        order, then stream 1's, and so on.
 
-    def _next32(self, idx: np.ndarray) -> np.ndarray:
-        """Buffered 32-bit halves, exactly like ``pcg64_next32``."""
-        out = np.empty(len(idx), dtype=np.uint64)
-        has = self._has32[idx]
-        buffered = idx[has]
-        out[has] = self._buf32[buffered]
-        self._has32[buffered] = False
-        fresh = idx[~has]
-        if len(fresh):
-            raw = self._next64(fresh)
-            out[~has] = raw & _U32
-            self._buf32[fresh] = raw >> np.uint64(32)
-            self._has32[fresh] = True
-        return out
-
-    # ------------------------------------------------------------------
-    def integers(self, idx: np.ndarray, low: int, high: int) -> np.ndarray:
-        """One draw of ``Generator.integers(low, high)`` per stream in ``idx``.
-
-        Bit-identical to numpy's bounded int64 paths (Lemire rejection
-        with the 32-bit buffered optimization for ranges below 2**32).
+        Bit-identical to that many successive calls on each stream's
+        numpy Generator (the bounded int64 paths: Lemire rejection, with
+        buffered 32-bit halves below 2**32).  A pure function of the
+        seeded streams: calling it again draws the same values.
         """
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (len(self),):
+            raise ValueError(f"need one count per stream ({len(self)})")
         rng = high - 1 - low  # inclusive range width, as in numpy
         if rng < 0:
             raise ValueError("high must exceed low")
-        if rng == 0:
-            return np.full(len(idx), low, dtype=np.int64)
-        if rng <= 0xFFFFFFFF:
-            if rng == 0xFFFFFFFF:
-                return (low + self._next32(idx)).astype(np.int64)
-            return (low + self._lemire32(idx, rng)).astype(np.int64)
-        if rng == 0xFFFFFFFFFFFFFFFF:
-            return (low + self._next64(idx)).astype(np.int64)
-        return (low + self._lemire64(idx, rng)).astype(np.int64)
-
-    def _lemire32(self, idx: np.ndarray, rng: int) -> np.ndarray:
-        rng_excl = np.uint64(rng + 1)
-        threshold = np.uint64((0xFFFFFFFF - rng) % (rng + 1))
-        out = np.zeros(len(idx), dtype=np.uint64)
-        pending = np.arange(len(idx))
+        out = np.full(int(counts.sum()), low, dtype=np.int64)
+        if rng == 0 or not len(out):
+            return out  # a zero-width range consumes nothing
+        per_word = _values_per_word(rng)
+        excl = rng + 1
+        # Lemire rejects a leftover below (2**bits - excl) % excl.
+        threshold = np.uint64(((1 << (64 // per_word)) - excl) % excl)
+        low_word = np.uint64(low % (1 << 64))
+        x_inc = self._x_inc.copy()
+        end = np.cumsum(counts)  # one past each stream's last output slot
+        got = np.zeros_like(counts)
+        pending = np.nonzero(counts)[0]
         while len(pending):
-            m = self._next32(idx[pending]) * rng_excl
-            accept = (m & _U32) >= threshold
-            out[pending[accept]] = m[accept] >> np.uint64(32)
-            pending = pending[~accept]
-        return out
-
-    def _lemire64(self, idx: np.ndarray, rng: int) -> np.ndarray:
-        rng_excl = rng + 1
-        re_lo = np.uint64(rng_excl & 0xFFFFFFFF)
-        re_hi = np.uint64(rng_excl >> 32)
-        threshold = np.uint64((0xFFFFFFFFFFFFFFFF - rng) % rng_excl)
-        out = np.zeros(len(idx), dtype=np.uint64)
-        pending = np.arange(len(idx))
-        while len(pending):
-            v = self._next64(idx[pending])
-            v_lo = v & _U32
-            v_hi = v >> np.uint64(32)
-            # 64 x 64 -> 128 via 32-bit limbs: leftover = low 64, out = high 64.
-            p0 = v_lo * re_lo
-            p1 = v_lo * re_hi
-            p2 = v_hi * re_lo
-            p3 = v_hi * re_hi
-            mid = (p0 >> np.uint64(32)) + (p1 & _U32) + (p2 & _U32)
-            leftover = (p0 & _U32) | ((mid & _U32) << np.uint64(32))
-            high = p3 + (p1 >> np.uint64(32)) + (p2 >> np.uint64(32)) + (
-                mid >> np.uint64(32)
-            )
-            accept = leftover >= threshold
-            out[pending[accept]] = high[accept]
-            pending = pending[~accept]
+            # Exactly the steps a rejection-free draw needs; streams left
+            # short by rejections continue from their last step next pass.
+            want = counts[pending] - got[pending]
+            steps = np.minimum(-(-want // per_word), self._jumps.steps)
+            st = _jump(x_inc[:, :, pending], steps, self._jumps)
+            x_inc[:, 0, pending] = st[:, np.cumsum(steps) - 1]
+            words = _xsl_rr(st)
+            if per_word == 2:
+                # pcg64_next32: the low half first, then the buffered high.
+                halves = np.stack((words & _U32, words >> _S32), axis=1).ravel()
+                m = halves * np.uint64(excl)
+                ok = (m & _U32) >= threshold
+                value = m >> _S32
+            else:
+                value, leftover = _mul64(
+                    words, np.uint64(excl >> 32), np.uint64(excl & 0xFFFFFFFF)
+                )
+                ok = leftover >= threshold
+            # Output slot of each accepted value; past a stream's end, the
+            # value belongs to a later draw and is dropped.
+            nvals = steps * per_word
+            seen = np.cumsum(ok)
+            through = seen[np.cumsum(nvals) - 1]
+            before = np.concatenate(([0], through[:-1]))
+            start = end[pending] - counts[pending] + got[pending]
+            slot = seen - 1 + np.repeat(start - before, nvals)
+            keep = ok & (slot < np.repeat(end[pending], nvals))
+            out[slot[keep]] = (value[keep] + low_word).view(np.int64)
+            got[pending] += through - before
+            pending = pending[got[pending] < counts[pending]]
         return out

@@ -74,8 +74,7 @@ from ..instrumentation import ExecutionTrace
 from ..network import Network
 from ..scheduler import RunResult
 from .base import CongestEngine
-from .fast import _INF, FastEngine
-from .fastrng import RankStreams
+from .fast import _INF, FastEngine, draw_owner_ranks
 
 __all__ = ["ShardedEngine", "default_shard_count"]
 
@@ -201,13 +200,9 @@ class _ShardWorker:
         i0, i1 = np.searchsorted(owners, [lo, hi])
         self.owners_s = owners[i0:i1]
         self.counts_s = counts[i0:i1]
-        self.offsets_s = (
-            np.concatenate(([0], np.cumsum(self.counts_s[:-1])))
-            if len(self.counts_s)
-            else np.zeros(0, dtype=np.int64)
-        )
-        slot0 = int(engine._owner_offsets[i0]) if i0 < len(owners) else 0
+        slot0 = int(counts[:i0].sum())
         self.owned_he_s = engine._owned_he[slot0: slot0 + int(self.counts_s.sum())]
+        self.jumps = engine._jumps
         # Boundary mask over [lo, hi): nodes with a neighbour outside.
         outside = (self.he_dst[self.h0: self.h1] < lo) | (
             self.he_dst[self.h0: self.h1] >= hi
@@ -243,9 +238,7 @@ class _ShardWorker:
         t0 = time.perf_counter()
         cmd = msg[0]
         if cmd == "begin":
-            out = self.begin_rep(*msg[1:])
-        elif cmd == "beginc":
-            out = self.begin_chunk(*msg[1:])
+            out = self.begin(*msg[1:])
         elif cmd == "select":
             out = self.select_and_seed(*msg[1:])
         elif cmd == "round":
@@ -308,8 +301,10 @@ class _ShardWorker:
     # ------------------------------------------------------------------
     # Tester kernels
     # ------------------------------------------------------------------
-    def begin_rep(self, k: int, rep_seed: int, pruner) -> None:
-        """Reset per-repetition state and draw this shard's edge ranks.
+    def begin(self, k: int, rep_seeds: Sequence[int], pruner) -> None:
+        """Reset per-repetition state and draw this shard's edge ranks
+        for the repetitions ``rep_seeds`` into rows ``0..C-1`` of the
+        shared rank stack (one row for a serial repetition).
 
         The draws replay :meth:`FastEngine._draw_edge_ranks` restricted
         to this shard's owners: per-node streams are independent, so the
@@ -318,54 +313,12 @@ class _ShardWorker:
         self.k = k
         self._resolve_pruner(pruner)
         self.sent_seqs = {}
-        if not len(self.owners_s):
-            return None
-        hi_rank = self.m * self.m
-        seed_word = int(rep_seed) & 0x7FFFFFFF
-        streams = RankStreams(seed_word, self.ids[self.owners_s])
-        ranks = np.zeros(len(self.owned_he_s), dtype=np.int64)
-        counts, offsets = self.counts_s, self.offsets_s
-        for j in range(int(counts.max())):
-            active = np.nonzero(counts > j)[0]
-            draws = streams.integers(active, 1, hi_rank + 1)
-            ranks[offsets[active] + j] = draws
-        self.edge_rank[0, self.edge_of_he[self.owned_he_s]] = ranks
-        return None
-
-    def begin_chunk(self, k: int, rep_seeds: Sequence[int], pruner) -> None:
-        """Draw this shard's edge ranks for a whole repetition chunk.
-
-        One batched :class:`RankStreams` pass covers every
-        ``(repetition, owner)`` stream; row ``r`` of the shared rank
-        stack ends up bit-identical to ``begin_rep(k, rep_seeds[r])``
-        because the per-stream draw order is unchanged.
-        """
-        self.k = k
-        self._resolve_pruner(pruner)
-        self.sent_seqs = {}
-        if not len(self.owners_s):
-            return None
-        hi_rank = self.m * self.m
-        C = len(rep_seeds)
-        n_own = len(self.owners_s)
-        words = np.asarray(
-            [int(s) & 0x7FFFFFFF for s in rep_seeds], dtype=np.uint64
-        )
-        streams = RankStreams(
-            np.repeat(words, n_own), np.tile(self.ids[self.owners_s], C)
-        )
-        counts = np.tile(self.counts_s, C)
-        slots = len(self.owned_he_s)
-        offsets = np.tile(self.offsets_s, C) + np.repeat(
-            np.arange(C, dtype=np.int64) * slots, n_own
-        )
-        ranks = np.zeros(C * slots, dtype=np.int64)
-        for j in range(int(self.counts_s.max())):
-            active = np.nonzero(counts > j)[0]
-            draws = streams.integers(active, 1, hi_rank + 1)
-            ranks[offsets[active] + j] = draws
-        cols = self.edge_of_he[self.owned_he_s]
-        self.edge_rank[:C, cols] = ranks.reshape(C, slots)
+        if len(self.owners_s):
+            ranks = draw_owner_ranks(
+                self.ids[self.owners_s], self.counts_s, rep_seeds, self.m, self.jumps
+            )
+            cols = self.edge_of_he[self.owned_he_s]
+            self.edge_rank[: len(rep_seeds), cols] = ranks
         return None
 
     def select_and_seed(self, rep: int = 0):
@@ -947,7 +900,7 @@ class ShardedEngine(FastEngine):
 
         pooled = self._pool_for(pruner)
         P = len(self._workers)
-        self._dispatch("begin", [("begin", k, rep_seed, pruner)] * P, pooled)
+        self._dispatch("begin", [("begin", k, [rep_seed], pruner)] * P, pooled)
         return self._finish(self._run_tester_rounds(k, 0, pooled))
 
     def _run_tester_rounds(self, k: int, rep: int, pooled: bool) -> RunResult:
@@ -1005,15 +958,14 @@ class ShardedEngine(FastEngine):
 
     def iter_tester_chunk(self, k: int, rep_seeds, *, pruner=None):
         """Chunked tester iteration: each shard pre-draws a whole chunk
-        of repetitions' ranks in one batched worker pass (``beginc``),
-        then the rounds replay per repetition against the pre-drawn
-        rank rows.  Telemetry export is deferred to each yield; the
-        serial base path handles chunk size 1, strict audits, and
-        edgeless graphs.  Note: the per-chunk ``beginc`` dispatch
-        replaces per-repetition ``begin`` dispatches, so the
-        engine-internal ``repro_shard_dispatch_total`` diagnostics
-        differ from serial runs; protocol-level counters and traces do
-        not.
+        of repetitions' ranks in one batched worker pass (one ``begin``
+        per chunk), then the rounds replay per repetition against the
+        pre-drawn rank rows.  Telemetry export is deferred to each
+        yield; the serial base path handles chunk size 1, strict audits,
+        and edgeless graphs.  Note: one ``begin`` dispatch per chunk
+        replaces one per repetition, so the engine-internal
+        ``repro_shard_dispatch_total`` diagnostics differ from serial
+        runs; protocol-level counters and traces do not.
         """
         chunk = min(self.rep_chunk, self._rep_capacity)
         if chunk <= 1 or self._strict or self._net.graph.m == 0:
@@ -1027,9 +979,7 @@ class ShardedEngine(FastEngine):
         P = len(self._workers)
         for i in range(0, len(seeds), chunk):
             batch = seeds[i: i + chunk]
-            self._dispatch(
-                "beginc", [("beginc", k, batch, pruner)] * P, pooled
-            )
+            self._dispatch("begin", [("begin", k, batch, pruner)] * P, pooled)
             for r in range(len(batch)):
                 yield self._finish(self._run_tester_rounds(k, r, pooled))
 

@@ -178,13 +178,15 @@ def differential_campaign(
 # Engine equivalence harness
 # ---------------------------------------------------------------------------
 #: Registry instances every engine must agree on: the paper's stress
-#: families plus a certified ε-far instance.  ``(family, params)`` pairs
-#: are built through :mod:`repro.runner.registry`.
+#: families, a certified ε-far instance, and a power-law hub graph whose
+#: busiest owner draws 70 Phase-1 ranks from one stream (seed 0).
+#: ``(family, params)`` pairs are built through :mod:`repro.runner.registry`.
 DEFAULT_EQUIVALENCE_INSTANCES: Tuple[Tuple[str, Dict], ...] = (
     ("theta", {"paths": 4, "path_length": 3}),
     ("flower", {"paths": 4, "k": 5}),
     ("figure1", {}),
     ("eps-far", {"n": 40, "k": 5, "eps": 0.1}),
+    ("powerlaw", {"n": 500, "exponent": 2.1}),
 )
 
 
@@ -301,7 +303,7 @@ def engine_equivalence_report(
 ) -> EquivalenceReport:
     """Sweep a seeded instance grid and compare engines on every cell.
 
-    The default grid is the paper's stress instances
+    The default grid is the paper's stress instances and a hub graph
     (:data:`DEFAULT_EQUIVALENCE_INSTANCES`) crossed with ``ks`` and
     ``seeds``, for both the full tester repetition and Algorithm 1 on
     the canonical first edge.

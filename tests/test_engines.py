@@ -6,7 +6,8 @@ Layers covered here:
 * bit-exactness of the vectorized RNG pipeline (``fastrng``) against
   per-node numpy Generators — the foundation of verdict equivalence;
 * engine-level equivalence on the registry's stress instances (seeded
-  grid over theta / flower / figure1 / eps-far, tester + detect);
+  grid over theta / flower / figure1 / eps-far / a power-law hub graph,
+  tester + detect);
 * tester-level equality of full :class:`TesterResult` objects;
 * the campaign runner's ``engines`` factor (same seeds, same outcomes,
   resumable stores, backward-compatible run ids);
@@ -23,7 +24,7 @@ from repro.congest.engine import (
     create_engine,
     ensure_engine_available,
 )
-from repro.congest.engine.fastrng import RankStreams
+from repro.congest.engine.fastrng import JumpTable, RankStreams
 from repro.congest.ids import RandomPermutationIds, ReverseIds
 from repro.congest.network import Network
 from repro.core.algorithm1 import detect_cycle_through_edge
@@ -47,49 +48,68 @@ class TestFastRngExactness:
     """fastrng replicates numpy's per-node Generator streams bit for bit."""
 
     IDS = list(range(12)) + [999, 2**31, 2**32 - 1]
+    #: Draws per stream: empty streams, odd counts (which leave a buffered
+    #: 32-bit half unused) and even ones, and two deep streams of >= 300.
+    COUNTS = [0, 1, 2, 3, 300, 7, 0, 5, 301, 1, 2, 9, 4, 11, 6]
 
-    def _numpy_streams(self, seed_word):
-        return [
-            np.random.default_rng(np.random.SeedSequence((seed_word, i)))
-            for i in self.IDS
-        ]
+    def _numpy_draws(self, seed_words, low, high):
+        out = []
+        for word, i, count in zip(seed_words, self.IDS, self.COUNTS):
+            gen = np.random.default_rng(np.random.SeedSequence((word, i)))
+            out += [int(gen.integers(low, high)) for _ in range(count)]
+        return out
 
     @pytest.mark.parametrize(
         "low, high",
         [
             (1, 4019 ** 2 + 1),   # the tester's rank range (Lemire-32)
             (1, 0xF0000001),      # ~6% rejection probability
+            (1, 0x80000002),      # ~50% rejection: several top-up passes
             (1, 2),               # zero-width range: no draw consumed
             (0, 2 ** 32),         # full 32-bit range: raw next32
             (1, 2 ** 40),         # Lemire-64
+            (-(2 ** 63), 2 ** 63),  # full 64-bit range: raw next64
         ],
     )
     def test_bounded_draws_match_numpy(self, low, high):
-        seed_word = 123456789
-        rs = RankStreams(seed_word, np.array(self.IDS, dtype=np.uint64))
-        gens = self._numpy_streams(seed_word)
-        for round_ in range(6):
-            # A varying subset exercises per-stream masking and buffering.
-            sub = [i for i in range(len(self.IDS)) if (i + round_) % 3]
-            mine = rs.integers(np.array(sub), low, high)
-            theirs = [int(gens[i].integers(low, high)) for i in sub]
-            assert mine.tolist() == theirs
+        ids = np.array(self.IDS, dtype=np.uint64)
+        # One shared seed word, and one word per stream (the chunked form).
+        shared = 123456789
+        per_stream = np.arange(len(ids), dtype=np.uint64) * 7919 + 11
+        for seed_word, words in (
+            (shared, [shared] * len(ids)),
+            (per_stream, per_stream.tolist()),
+        ):
+            expected = self._numpy_draws(words, low, high)
+            # The exact first-pass table, and a one-step table that needs
+            # a pass per word: the table length only changes the passes.
+            for jumps in (
+                JumpTable.for_draws(max(self.COUNTS), low, high),
+                JumpTable(1),
+            ):
+                rs = RankStreams(seed_word, ids, jumps)
+                assert rs.draw(self.COUNTS, low, high).tolist() == expected
 
-    def test_interleaved_ranges_share_the_buffered_half(self):
-        rs = RankStreams(11, np.arange(8, dtype=np.uint64))
-        gens = [
-            np.random.default_rng(np.random.SeedSequence((11, i)))
-            for i in range(8)
-        ]
-        idx = np.arange(8)
-        for low, high in [(1, 101), (1, 2 ** 34), (0, 2 ** 32), (5, 6)]:
-            assert rs.integers(idx, low, high).tolist() == [
-                int(g.integers(low, high)) for g in gens
-            ]
+    def test_draw_is_a_pure_function_of_the_seeded_streams(self):
+        rs = RankStreams(5, np.arange(4, dtype=np.uint64), JumpTable(2))
+        first = rs.draw([3, 0, 1, 2], 1, 101)
+        assert rs.draw([3, 0, 1, 2], 1, 101).tolist() == first.tolist()
+
+    def test_draw_validates_its_arguments(self):
+        rs = RankStreams(5, np.arange(4, dtype=np.uint64), JumpTable(1))
+        with pytest.raises(ValueError):
+            rs.draw([1, 1], 1, 101)
+        with pytest.raises(ValueError):
+            rs.draw([1, 1, 1, 1], 5, 5)
+
+    def test_jump_table_is_read_only(self):
+        table = JumpTable(4)
+        with pytest.raises(ValueError):
+            table.coeffs[1, 0, 1] = 0
 
     def test_rejects_ids_above_32_bits(self):
         with pytest.raises(ValueError):
-            RankStreams(0, np.array([2 ** 32], dtype=np.uint64))
+            RankStreams(0, np.array([2 ** 32], dtype=np.uint64), JumpTable(1))
 
 
 class TestEngineRegistry:
@@ -127,8 +147,8 @@ class TestCrossEngineEquivalence:
             ks=(3, 4, 5, 6, 7),
             seeds=(0, 1),
         )
-        # 4 instances x 5 ks x (2 tester seeds + 1 deterministic detect)
-        assert report.comparisons == 60
+        # 5 instances x 5 ks x (2 tester seeds + 1 deterministic detect)
+        assert report.comparisons == 75
         assert report.ok, report.mismatches
 
     @pytest.mark.parametrize("assigner", [None, ReverseIds(),
