@@ -271,155 +271,6 @@ def tester_speedup(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
     }
 
 
-@benchmark(
-    "engines",
-    # Parity is the gate (the rejecting-vertex count is an integer and
-    # must match the baseline exactly); the fast-vs-sharded walls are
-    # floats for the trend record — on few-core runners the pool can be
-    # slower than the single-process fast engine at these sizes.
-    smoke=[{"n": 2000, "p": 0.002, "k": 5, "reps": 2, "shards": 2}],
-    default=[{"n": 20000, "p": 0.0002, "k": 5, "reps": 2, "shards": 4}],
-    full=[{"n": 50000, "p": 0.00008, "k": 5, "reps": 2, "shards": 4}],
-)
-def sharded_parity(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """Fast vs sharded engine: full bit-parity, then per-rep walls."""
-    from ..congest.engine import available_engines, create_engine
-    from ..congest.network import Network
-    from ..graphs.generators import erdos_renyi_gnp
-    from ..testing import compare_engines_once
-
-    if "sharded" not in available_engines():
-        # Same convention as tester_speedup: strings never gate.
-        return {"n": case["n"], "skipped": "sharded engine unavailable"}
-    g = erdos_renyi_gnp(case["n"], case["p"], seed=1)
-    spec = f"sharded:{case['shards']}"
-    mismatches = compare_engines_once(
-        g, case["k"], seed % (2**32), engines=("fast", spec)
-    )
-    assert not mismatches, mismatches
-    net = Network(g)
-    times = {}
-    rejecting = {}
-    for name in ("fast", spec):
-        eng = create_engine(name, net)
-        run = None
-        t0 = time.perf_counter()
-        for rep in range(case["reps"]):
-            run = eng.run_tester_repetition(case["k"], rep)
-        times[name] = (time.perf_counter() - t0) / case["reps"]
-        rejecting[name] = sum(1 for o in run.outputs.values() if o.rejects)
-        if hasattr(eng, "close"):
-            eng.close()
-    assert rejecting["fast"] == rejecting[spec], (
-        f"verdict drift: {rejecting}"
-    )
-    return {
-        "n": g.n,
-        "m": g.m,
-        "shards": case["shards"],
-        "rejecting_vertices": rejecting["fast"],
-        "fast_ms_per_rep": times["fast"] * 1e3,
-        "sharded_ms_per_rep": times[spec] * 1e3,
-        "sharded_over_fast": times[spec] / max(times["fast"], 1e-12),
-    }
-
-
-@benchmark(
-    "engines",
-    # Cross-repetition batching amortises the per-repetition kernel
-    # overhead (rank draws, lexsorts, scatter setup) over chunk=C
-    # repetitions; measured ~3x at chunk=8 on this container, so the
-    # smoke floor leaves headroom for noisy CI.
-    smoke=[{"n": 300, "k": 5, "reps": 12, "chunk": 8, "timing_reps": 3,
-            "min_speedup": 1.5}],
-    default=[{"n": 600, "k": 5, "reps": 16, "chunk": 16, "timing_reps": 3,
-              "min_speedup": 2.0}],
-    full=[{"n": 1200, "k": 5, "reps": 16, "chunk": 16, "timing_reps": 4,
-           "min_speedup": 2.0}],
-)
-def batched_reps(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """Chunked vs serial tester repetitions on the fast engine.
-
-    Asserts full bit-parity first — verdicts, per-repetition reports and
-    telemetry protocol counters must be identical for ``chunk=1`` and
-    ``chunk=C`` — then gates on the min-of-N pair speedup of the batched
-    kernels (gc paused, same workload back to back).
-    """
-    from ..congest.engine import available_engines
-    from ..core import CkFreenessTester
-    from ..graphs.generators import ck_free_graph
-    from ..obs import Telemetry
-
-    if "fast" not in available_engines():
-        # Strings never gate: a no-numpy fresh run still compares clean.
-        return {"n": case["n"], "skipped": "numpy unavailable"}
-    # Ck-free instance: every repetition accepts, so all `reps`
-    # repetitions run and the chunked kernels are fully exercised.
-    g = ck_free_graph(case["n"], case["k"], seed=1)
-    chunked_spec = f"fast:chunk={case['chunk']}"
-
-    def workload(spec, telemetry=None):
-        tester = CkFreenessTester(
-            case["k"], 0.1, repetitions=case["reps"], engine=spec,
-            telemetry=telemetry,
-        )
-        return tester.run(g, seed=seed, stop_on_reject=False)
-
-    tel_serial, tel_chunked = Telemetry(), Telemetry()
-    r_serial = workload("fast", tel_serial)
-    r_chunked = workload(chunked_spec, tel_chunked)
-    assert r_serial.accepted == r_chunked.accepted
-    assert [
-        (rep.index, rep.rejected, rep.cycle_ids, rep.rejecting_vertices,
-         rep.rounds)
-        for rep in r_serial.reports
-    ] == [
-        (rep.index, rep.rejected, rep.cycle_ids, rep.rejecting_vertices,
-         rep.rounds)
-        for rep in r_chunked.reports
-    ], "chunked repetitions diverged from serial"
-    # Protocol counters (rounds, messages, audited bits) must be
-    # identical, not merely close: chunking may not change a single
-    # exported aggregate.
-    assert tel_serial.summary() == tel_chunked.summary(), (
-        "telemetry aggregates diverged"
-    )
-
-    import gc
-
-    best_serial = best_chunked = float("inf")
-    best_speedup = 0.0
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(case["timing_reps"]):
-            t0 = time.perf_counter()
-            workload("fast")
-            serial = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            workload(chunked_spec)
-            chunked = time.perf_counter() - t0
-            best_serial = min(best_serial, serial)
-            best_chunked = min(best_chunked, chunked)
-            best_speedup = max(best_speedup, serial / max(chunked, 1e-12))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    assert best_speedup >= case["min_speedup"], (
-        f"chunk={case['chunk']} speedup {best_speedup:.2f}x fell below "
-        f"the {case['min_speedup']}x floor"
-    )
-    return {
-        "n": g.n,
-        "m": g.m,
-        "repetitions": case["reps"],
-        "chunk": case["chunk"],
-        "serial_ms": best_serial * 1e3,
-        "chunked_ms": best_chunked * 1e3,
-        "speedup": best_speedup,
-    }
-
-
 # ---------------------------------------------------------------------------
 # pruning — Instruction 15 vs naive forwarding (the Figure-1 claim)
 # ---------------------------------------------------------------------------
@@ -757,45 +608,6 @@ def per_edge_scaling(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
         f"n={rows[0]['n']} to n={rows[-1]['n']}"
     )
     return {"cells": len(rows), "per_edge_ratio": float(t_large / t_small)}
-
-
-@benchmark(
-    "scalability",
-    # The 10^5+ point of the roadmap's scaling curve: one repetition on
-    # G(n, m=2n) per shard count.  The verdict (an integer) gates; the
-    # per-shard-count walls are the scaling record — with >= 2 cores the
-    # multi-shard walls drop below the single-shard one.
-    smoke=[{"n": 100_000, "k": 5, "shard_counts": [1, 2]}],
-    default=[{"n": 250_000, "k": 5, "shard_counts": [1, 2, 4]}],
-    full=[{"n": 1_000_000, "k": 5, "shard_counts": [1, 4, 8]}],
-)
-def sharded_scale(case: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """Sharded tester repetition at 10^5+ nodes, swept over shard counts."""
-    from ..congest.engine import available_engines, create_engine
-    from ..congest.network import Network
-    from ..graphs import erdos_renyi_gnm
-
-    if "sharded" not in available_engines():
-        return {"n": case["n"], "skipped": "sharded engine unavailable"}
-    g = erdos_renyi_gnm(case["n"], 2 * case["n"], seed=1)
-    net = Network(g)
-    rep_seed = seed % (2**32)
-    rejects = {}
-    metrics: Dict[str, Any] = {"n": g.n, "m": g.m}
-    for shards in case["shard_counts"]:
-        eng = create_engine("sharded", net, shards=shards)
-        t0 = time.perf_counter()
-        run = eng.run_tester_repetition(case["k"], rep_seed)
-        metrics[f"wall_shards{shards}"] = time.perf_counter() - t0
-        rejects[shards] = frozenset(
-            v for v, o in run.outputs.items() if o.rejects
-        )
-        eng.close()
-    assert len(set(rejects.values())) == 1, (
-        "shard count changed the verdict"
-    )
-    metrics["rejecting_vertices"] = len(next(iter(rejects.values())))
-    return metrics
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional
 
 from . import analysis
 from .bench.cli import add_bench_subparser
-from .congest.engine import ENGINE_NAMES, parse_engine_spec
+from .congest.engine import ENGINE_NAMES
 from .congest.faults import build_fault_model
 from .core.algorithm1 import detect_cycle_through_edge
 from .core.tester import CkFreenessTester
@@ -45,64 +45,12 @@ __all__ = ["main", "build_parser"]
 _RESERVED_PARAMS = ("k", "eps")
 
 
-def _engine_arg(value: str) -> str:
-    """argparse type for ``--engine``: a name or spec like 'sharded:4'."""
-    from .errors import ConfigurationError
-
-    try:
-        parse_engine_spec(value)
-    except ConfigurationError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
-def _resolve_engine(args: argparse.Namespace) -> str:
-    """Combine ``--engine``, ``--shards`` and ``--rep-chunk`` into one
-    engine spec.
-
-    ``--shards N`` is sugar for the ``sharded:N`` spelling and
-    ``--rep-chunk C`` for the ``chunk=C`` option; giving either
-    alongside an engine that does not accept it (or a spec that already
-    pins the same option) is a configuration error.
-    """
-    from .errors import ConfigurationError
-
-    engine = getattr(args, "engine", "reference")
-    shards = getattr(args, "shards", None)
-    rep_chunk = getattr(args, "rep_chunk", None)
-    if shards is None and rep_chunk is None:
-        return engine
-    name, opts = parse_engine_spec(engine)
-    extra = []
-    if shards is not None:
-        if name != "sharded":
-            raise ConfigurationError(
-                f"--shards only applies to the sharded engine (got "
-                f"--engine {engine})"
-            )
-        if "shards" in opts:
-            raise ConfigurationError(
-                f"shard count given twice: --engine {engine} and "
-                f"--shards {shards}"
-            )
-        extra.append(str(shards))
-    if rep_chunk is not None:
-        if name == "reference":
-            raise ConfigurationError(
-                f"--rep-chunk only applies to the numpy engines (got "
-                f"--engine {engine})"
-            )
-        if "rep_chunk" in opts:
-            raise ConfigurationError(
-                f"chunk size given twice: --engine {engine} and "
-                f"--rep-chunk {rep_chunk}"
-            )
-        extra.append(f"chunk={rep_chunk}")
-    base, sep, prior = engine.partition(":")
-    joined = ",".join(([prior] if prior else []) + extra)
-    spec = f"{base}:{joined}"
-    parse_engine_spec(spec)  # validates counts >= 1
-    return spec
+def add_engine_arg(parser: argparse.ArgumentParser, default: str) -> None:
+    """Add the ``--engine`` option every engine-running subcommand shares."""
+    parser.add_argument("--engine", default=default, choices=ENGINE_NAMES,
+                        metavar="ENGINE",
+                        help=f"scheduler backend: {', '.join(ENGINE_NAMES)} "
+                        f"(identical verdicts; default: {default})")
 
 
 def _build_graph(args: argparse.Namespace) -> Graph:
@@ -131,7 +79,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
     g = _build_graph(args)
     tester = CkFreenessTester(
         args.k, args.eps, repetitions=args.repetitions,
-        engine=_resolve_engine(args),
+        engine=args.engine,
         faults=build_fault_model(args.faults, seed=args.seed),
     )
     result = tester.run(g, seed=args.seed)
@@ -145,7 +93,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     g = _build_graph(args)
     u, v = args.edge
     det = detect_cycle_through_edge(
-        g, (u, v), args.k, engine=_resolve_engine(args),
+        g, (u, v), args.k, engine=args.engine,
         faults=build_fault_model(args.faults, seed=args.seed),
     )
     print(f"k={args.k} edge=({u},{v}) detected={det.detected}")
@@ -231,7 +179,7 @@ def _replay_monitor(base: Graph, mutations, args: argparse.Namespace) -> int:
     from .dynamic import CkMonitor
 
     monitor = CkMonitor(
-        base, args.k, engine=_resolve_engine(args), epsilon=args.eps,
+        base, args.k, engine=args.engine, epsilon=args.eps,
         seed=args.seed,
         faults=build_fault_model(args.faults, seed=args.seed),
     )
@@ -432,7 +380,7 @@ def _cmd_obs_profile(args: argparse.Namespace) -> int:
         graph = registry.build_graph(args.family, seed=args.seed, **params)
         profiler = PhaseProfiler()
         engine = create_engine(
-            _resolve_engine(args), Network(graph), profiler=profiler
+            args.engine, Network(graph), profiler=profiler
         )
         for rep in range(max(1, args.reps)):
             engine.run_tester_repetition(
@@ -493,7 +441,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_sessions=args.max_sessions,
         request_timeout=args.request_timeout,
         debug=args.debug,
-        default_engine=_resolve_engine(args),
+        default_engine=args.engine,
     )
     # --telemetry installs the global before dispatch; hand it to the
     # server so wide events and spans land in the JSONL artifact.
@@ -533,7 +481,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         params=_parse_params(args.params) or LoadgenConfig().params,
         stream=args.stream,
         k=args.k,
-        engine=_resolve_engine(args),
+        engine=args.engine,
         seed=args.seed,
         batch=args.batch,
         verify_parity=not args.no_parity,
@@ -582,7 +530,7 @@ _PRESETS: Dict[str, Callable[[int], CampaignSpec]] = {
         ks=[4, 5],
         epsilons=[0.15],
         algorithms=["tester", "detect"],
-        engines=["reference", "fast", "sharded:2"],
+        engines=["reference", "fast"],
         repetitions=3,
         seed=seed,
     ),
@@ -759,8 +707,7 @@ def _add_campaign_factor_args(p: argparse.ArgumentParser) -> None:
                    help=f"variants from: {', '.join(ALGORITHM_NAMES)}")
     p.add_argument("--engines", type=_csv(str), metavar="E1,E2,...",
                    help=f"scheduler backends to cross: "
-                   f"{', '.join(ENGINE_NAMES)} (sharded accepts a "
-                   "shard count, e.g. sharded:4)")
+                   f"{', '.join(ENGINE_NAMES)}")
     p.add_argument("--streams", type=_optional_name, nargs="+",
                    metavar="SPEC",
                    help="stream scenarios to cross (temporal campaign), "
@@ -803,18 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
                            type=param.type, default=param.default,
                            help=param.help)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--engine", default="reference", type=_engine_arg,
-                       metavar="ENGINE",
-                       help=f"scheduler backend: {', '.join(ENGINE_NAMES)} "
-                       "(identical verdicts); sharded accepts a shard "
-                       "count, e.g. sharded:4")
-        p.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="shard count for --engine sharded "
-                       "(same as --engine sharded:N)")
-        p.add_argument("--rep-chunk", type=int, default=None, metavar="C",
-                       help="tester repetitions per batched kernel pass "
-                       "for the numpy engines (same as chunk=C in the "
-                       "engine spec)")
+        add_engine_arg(p, "reference")
         p.add_argument("--faults", type=_optional_name, default=None,
                        metavar="SPEC",
                        help="fault model, e.g. drop:p=0.05 or "
@@ -878,12 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dyn_replay.add_argument("--k", type=int, required=True)
     p_dyn_replay.add_argument("--eps", type=float, default=0.1)
     p_dyn_replay.add_argument("--seed", type=int, default=0)
-    p_dyn_replay.add_argument("--engine", default="reference",
-                              type=_engine_arg, metavar="ENGINE")
-    p_dyn_replay.add_argument("--shards", type=int, default=None,
-                              metavar="N")
-    p_dyn_replay.add_argument("--rep-chunk", type=int, default=None,
-                              metavar="C")
+    add_engine_arg(p_dyn_replay, "reference")
     p_dyn_replay.add_argument("--faults", type=_optional_name, default=None,
                               metavar="SPEC")
     p_dyn_replay.add_argument("--log", help="write per-step JSONL records")
@@ -984,13 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs_profile.add_argument("--profile", default=None, metavar="PATH",
                                help="existing PROFILE.json to print "
                                "(skips the run)")
-    p_obs_profile.add_argument("--engine", default="fast", type=_engine_arg,
-                               metavar="ENGINE",
-                               help="engine to profile when generating")
-    p_obs_profile.add_argument("--shards", type=int, default=None,
-                               metavar="N")
-    p_obs_profile.add_argument("--rep-chunk", type=int, default=None,
-                               metavar="C")
+    add_engine_arg(p_obs_profile, "fast")
     p_obs_profile.add_argument("--family", default="gnp",
                                help="base-graph generator family")
     p_obs_profile.add_argument("--params", default=None, metavar="K=V,...",
@@ -1015,14 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="session cap before LRU eviction")
     p_serve.add_argument("--request-timeout", type=float, default=30.0,
                          help="per-request handler timeout (seconds)")
-    p_serve.add_argument("--engine", default="reference",
-                         type=_engine_arg, metavar="ENGINE",
-                         help="default detection engine for new sessions "
-                         "(name or spec, e.g. sharded:4)")
-    p_serve.add_argument("--shards", type=int, default=None, metavar="N",
-                         help="shard count for --engine sharded")
-    p_serve.add_argument("--rep-chunk", type=int, default=None, metavar="C",
-                         help="repetition chunk size for the numpy engines")
+    add_engine_arg(p_serve, "reference")
     p_serve.add_argument("--debug", action="store_true",
                          help="enable the /debug endpoints (tests only)")
     add_telemetry_arg(p_serve)
@@ -1040,10 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lg.add_argument("--stream", default="uniform-churn:steps=30,p=0.5",
                       metavar="SPEC", help="scenario spec per client")
     p_lg.add_argument("--k", type=int, default=5)
-    p_lg.add_argument("--engine", default="reference", type=_engine_arg,
-                      metavar="ENGINE")
-    p_lg.add_argument("--shards", type=int, default=None, metavar="N")
-    p_lg.add_argument("--rep-chunk", type=int, default=None, metavar="C")
+    add_engine_arg(p_lg, "reference")
     p_lg.add_argument("--seed", type=int, default=0)
     p_lg.add_argument("--batch", type=int, default=1,
                       help="mutations per request")

@@ -8,7 +8,7 @@ and one full repetition of the multiplexed tester
 :class:`~repro.core.algorithm1.DetectionOutcome` outputs plus a
 bit-audited :class:`~repro.congest.instrumentation.ExecutionTrace`.
 
-Three backends ship with the reproduction:
+Two backends ship with the reproduction:
 
 ``reference``
     The per-node message-passing simulation
@@ -23,19 +23,12 @@ Three backends ship with the reproduction:
     (:mod:`repro.congest.engine.fast`): same verdicts, same round
     counts, same per-round aggregate audit, at array speed.
 
-``sharded``
-    The fast engine's kernels partitioned into contiguous node-range
-    shards over ``multiprocessing.shared_memory``
-    (:mod:`repro.congest.engine.sharded`), optionally driven by a
-    persistent ``fork`` worker pool — the 10^5–10^6-node scaling
-    backend.
-
-Engines are constructed per network (so backends can compile/cach
-topology) and are required to produce **bit-identical verdicts** for
+Engines are constructed per network (so backends can compile and cache
+the topology) and are required to produce **bit-identical verdicts** for
 identical ``(network, k, seed)`` inputs — the contract is enforced by
 ``repro.testing.engine_equivalence_report`` and
-``tests/test_engines.py``.  New backends (async, GPU) plug in by
-subclassing :class:`CongestEngine` and registering a factory in
+``tests/test_engines.py``.  A new backend plugs in by subclassing
+:class:`CongestEngine` and registering a factory in
 :mod:`repro.congest.engine`.
 """
 
@@ -80,13 +73,6 @@ class CongestEngine(ABC):
         the shared zero-overhead :data:`~repro.congest.engine.profiler
         .NULL_PROFILER`.  Profiling never touches RNG state, so it
         shares telemetry's bit-identity guarantee.
-    rep_chunk:
-        Tester repetitions per batched kernel pass (spec spelling
-        ``chunk=C``, e.g. ``"fast:chunk=8"``).  Backends without batched
-        kernels accept and ignore it (this base class iterates
-        serially); backends with them must keep every chunk size
-        verdict-, trace- and telemetry-identical to serial execution —
-        see :meth:`iter_tester_chunk`.
     """
 
     #: Stable backend name (the value of ``--engine``).
@@ -101,14 +87,10 @@ class CongestEngine(ABC):
         faults=None,
         telemetry=None,
         profiler=None,
-        rep_chunk: int = 1,
     ) -> None:
         from ...obs import resolve_telemetry
         from .profiler import NULL_PROFILER
 
-        rep_chunk = int(rep_chunk)
-        if rep_chunk < 1:
-            raise ConfigurationError(f"rep_chunk must be >= 1, got {rep_chunk}")
         self._net = network
         self._size_model = (
             size_model if size_model is not None else network.default_size_model()
@@ -117,7 +99,6 @@ class CongestEngine(ABC):
         self._faults = faults
         self._telemetry = resolve_telemetry(telemetry)
         self._profiler = profiler if profiler is not None else NULL_PROFILER
-        self.rep_chunk = rep_chunk
 
     @property
     def network(self) -> Network:
@@ -128,9 +109,8 @@ class CongestEngine(ABC):
     def compiled_nbytes(self) -> int:
         """Bytes held by compiled per-network state (cache accounting).
 
-        Zero for backends that compile nothing; the numpy backends
-        report their CSR/half-edge arrays (plus shared memory for the
-        sharded engine).
+        Zero for backends that compile nothing; ``fast`` reports its
+        CSR/half-edge arrays.
         """
         return 0
 
@@ -153,14 +133,9 @@ class CongestEngine(ABC):
     def iter_tester_chunk(self, k: int, rep_seeds, *, pruner=None):
         """Lazily yield one :class:`RunResult` per seed in ``rep_seeds``.
 
-        This is the tester's engine entry point.  The base
-        implementation is the serial loop (one
-        :meth:`run_tester_repetition` per yield); backends with batched
-        kernels override it to compute :attr:`rep_chunk` repetitions per
-        kernel pass, **deferring each repetition's telemetry export to
-        its yield** so that a consumer stopping early (first reject)
-        leaves exactly the same exported aggregates as serial execution
-        — repetitions computed but never consumed export nothing.
+        This is the tester's engine entry point: one
+        :meth:`run_tester_repetition` per yield, so a consumer that stops
+        early (first reject) never runs the remaining repetitions.
         """
         for rep_seed in rep_seeds:
             yield self.run_tester_repetition(k, int(rep_seed), pruner=pruner)

@@ -1,11 +1,11 @@
 """Bounded cache of compiled engine instances, keyed by graph content.
 
 Every :func:`~repro.congest.engine.create_engine` call re-compiles the
-network into the backend's execution form (CSR adjacency, half-edge
-tables, shared-memory segments for the sharded backend).  Compilation is
-pure — it depends only on the graph's content, the engine spec and the
-bandwidth mode — so repeated detect/tester calls against the *same*
-graph version can reuse one compiled instance.  :class:`EngineCache` is
+network into the backend's execution form (CSR adjacency and half-edge
+tables for ``fast``).  Compilation is pure — it depends only on the
+graph's content, the engine spec and the bandwidth mode — so repeated
+detect/tester calls against the *same* graph version can reuse one
+compiled instance.  :class:`EngineCache` is
 that reuse point: a small LRU keyed by
 ``(spec, strict_bandwidth, graph.content_hash())``.
 
@@ -60,9 +60,7 @@ class EngineCache:
     ----------
     max_entries:
         Maximum resident entries (compiled engines plus memoised CSR
-        exports).  The least recently used entry is evicted first;
-        evicted engines exposing ``close()`` (the sharded backend's
-        shared-memory teardown) are closed.
+        exports).  The least recently used entry is evicted first.
     """
 
     def __init__(self, max_entries: int = 8) -> None:
@@ -82,10 +80,10 @@ class EngineCache:
         """Drop entries inherited across a ``fork`` boundary.
 
         A forked child (campaign pool worker) inherits the parent's
-        cache by memory image.  Inherited engines are unusable there —
-        a sharded engine's pipes and shard processes belong to the
-        parent — so the child starts empty.  Entries are dropped, not
-        closed: their resources are the parent's to release.
+        cache by memory image.  Serving those entries would make the
+        child's hits, misses and evictions depend on whatever the parent
+        happened to compile before the fork, so the child starts empty
+        and its cache statistics reflect its own calls only.
         """
         if os.getpid() != self._pid:
             self._entries.clear()
@@ -157,11 +155,9 @@ class EngineCache:
 
     # ------------------------------------------------------------------
     def clear(self) -> None:
-        """Evict every entry (closing engines that support it)."""
+        """Evict every entry."""
         self._check_fork()
-        while self._entries:
-            _, entry = self._entries.popitem(last=False)
-            self._close(entry)
+        self._entries.clear()
         self._publish_bytes()
 
     @property
@@ -186,8 +182,7 @@ class EngineCache:
     def _insert(self, key: tuple, entry: object) -> None:
         self._entries[key] = entry
         while len(self._entries) > self.max_entries:
-            _, evicted = self._entries.popitem(last=False)
-            self._close(evicted)
+            self._entries.popitem(last=False)
             self.evictions += 1
             self._record_eviction()
 
@@ -197,12 +192,6 @@ class EngineCache:
             return entry.compiled_nbytes
         indptr, indices = entry  # type: ignore[misc]
         return int(indptr.nbytes + indices.nbytes)
-
-    @staticmethod
-    def _close(entry: object) -> None:
-        close = getattr(entry, "close", None)
-        if callable(close):
-            close()
 
     # ------------------------------------------------------------------
     # Cache metrics: process-global registry only (see module docstring).

@@ -75,8 +75,8 @@ def draw_owner_ranks(
     ranks in ``[1, m**2]`` from owner ``i``'s stream, owner by owner —
     the order of the owned half-edges.  The per-``(rep, owner)`` streams
     are independent, so stacking all of them into one
-    :class:`RankStreams` batch, or keeping only some owners, leaves every
-    stream's draws bit-identical to the reference engine's.
+    :class:`RankStreams` batch leaves every stream's draws bit-identical
+    to the reference engine's.
     """
     words = np.asarray([int(s) & 0x7FFFFFFF for s in rep_seeds], dtype=np.uint64)
     streams = RankStreams(
@@ -322,249 +322,6 @@ class FastEngine(CongestEngine):
         A[present] = self._he_a[order][first]
         B[present] = self._he_b[order][first]
         return R, A, B
-
-    # ------------------------------------------------------------------
-    # Chunked (cross-repetition) kernels
-    # ------------------------------------------------------------------
-    def _select_minima_chunk(
-        self, edge_rank: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Round-2 minimum selection for a ``(reps, edges)`` rank stack.
-
-        One lexsort over all repetitions: the sort key prepends a
-        rep-major composite owner (``r*n + src``), so the within-group
-        ordering — and therefore each row of the result — matches
-        :meth:`_select_minima` on that row exactly.
-        """
-        C = edge_rank.shape[0]
-        n = self._net.n
-        H = len(self._he_src)
-        he_rank = edge_rank[:, self._edge_of_he].ravel()
-        he_a = np.tile(self._he_a, C)
-        he_b = np.tile(self._he_b, C)
-        src_key = np.tile(self._he_src, C) + np.repeat(
-            np.arange(C, dtype=np.int64) * n, H
-        )
-        order = np.lexsort((he_b, he_a, he_rank, src_key))
-        sorted_key = src_key[order]
-        present, first = np.unique(sorted_key, return_index=True)
-        R = np.full(C * n, _INF, dtype=np.int64)
-        A = np.full(C * n, _INF, dtype=np.int64)
-        B = np.full(C * n, _INF, dtype=np.int64)
-        R[present] = he_rank[order][first]
-        A[present] = he_a[order][first]
-        B[present] = he_b[order][first]
-        return R.reshape(C, n), A.reshape(C, n), B.reshape(C, n)
-
-    def _mux_chunk(
-        self,
-        sending: np.ndarray,
-        R: np.ndarray,
-        A: np.ndarray,
-        B: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """§3.1 priority rule for a whole ``(reps, nodes)`` tag stack.
-
-        The same rep-major composite-owner trick as
-        :meth:`_select_minima_chunk`: one lexsort + searchsorted serves
-        every repetition.  Returns the winning tags as ``(reps, nodes)``
-        arrays and the surviving half-edges as a ``(reps, half_edges)``
-        boolean mask (row ``r``'s nonzeros equal the serial
-        :meth:`_mux` match indices for that repetition).
-        """
-        C, n = R.shape
-        he_src, he_dst = self._he_src, self._he_dst
-        H = len(he_src)
-        send_mask = sending[:, he_dst]
-        cr = np.where(send_mask, R[:, he_dst], _INF)
-        ca = np.where(send_mask, A[:, he_dst], _INF)
-        cb = np.where(send_mask, B[:, he_dst], _INF)
-        rep_off = (np.arange(C, dtype=np.int64) * n)[:, None]
-        owners = np.concatenate(
-            [(he_src[None, :] + rep_off).ravel(),
-             (self._all_v[None, :] + rep_off).ravel()]
-        )
-        kr = np.concatenate([cr.ravel(), R.ravel()])
-        ka = np.concatenate([ca.ravel(), A.ravel()])
-        kb = np.concatenate([cb.ravel(), B.ravel()])
-        order = np.lexsort((kb, ka, kr, owners))
-        sorted_owners = owners[order]
-        first = np.searchsorted(
-            sorted_owners, np.arange(C * n, dtype=np.int64), side="left"
-        )
-        bestR = kr[order][first].reshape(C, n)
-        bestA = ka[order][first].reshape(C, n)
-        bestB = kb[order][first].reshape(C, n)
-        matches = (
-            send_mask
-            & (R[:, he_dst] == bestR[:, he_src])
-            & (A[:, he_dst] == bestA[:, he_src])
-            & (B[:, he_dst] == bestB[:, he_src])
-        )
-        return bestR, bestA, bestB, matches
-
-    def _run_tester_chunk(self, k: int, rep_seeds: List[int], pruner) -> list:
-        """Run ``len(rep_seeds)`` repetitions through the chunked
-        kernels; returns per-repetition :class:`RunResult` objects
-        **without** exporting their traces (the caller yields them
-        lazily, so early exit exports exactly what serial would).
-
-        Per-repetition Python sequence work and the per-round audit fold
-        stay serial per repetition — they are state-dependent — but the
-        rank draws, round-2 selection, and every round's priority-rule
-        lexsort run once per chunk.
-        """
-        from ...core.algorithm1 import (
-            DetectionOutcome,
-            find_detection_evidence,
-            process_phase2_round,
-        )
-        from ...core.phase1 import protocol_rounds
-        from ...core.pruning import HittingSetPruner
-        from ...core.sequences import sort_sequences
-
-        self._check_k(k)
-        pruner = pruner if pruner is not None else HittingSetPruner()
-        prof = self._profiler
-        g = self._net.graph
-        n = g.n
-        C = len(rep_seeds)
-        ids = self._id_list
-        accept = DetectionOutcome(rejects=False)
-        traces = [
-            ExecutionTrace(n=n, m=g.m, size_model=self._size_model)
-            for _ in range(C)
-        ]
-        outputs = [{v: accept for v in range(n)} for _ in range(C)]
-
-        # Round 1 — rank draws, batched across the whole chunk.
-        with prof.phase("rank_draws"):
-            edge_rank = self._draw_edge_ranks(rep_seeds)
-        for trace in traces:
-            stats = self._begin_round(trace, 1)
-            if len(self._owners):
-                bits = self._bits_rank_msg
-                stats.messages = g.m
-                stats.total_bits = bits * g.m
-                stats.max_message_bits = bits
-                first_owner = int(self._owners[0])
-                first_he = int(self._owned_he[0])
-                stats.max_edge = (ids[first_owner], int(self._he_b[first_he]))
-
-        # Round 2 — minimum selection (one lexsort) + seed broadcast.
-        with prof.phase("min_select"):
-            R, A, B = self._select_minima_chunk(edge_rank)
-        sending = np.broadcast_to(self._degrees > 0, (C, n)).copy()
-        sender_arr = np.nonzero(self._degrees > 0)[0]
-        sent_seqs = [
-            {v: [(ids[v],)] for v in sender_arr.tolist()} for _ in range(C)
-        ]
-        seed_bits = self._bundle_bits(1, 1, tagged=True)
-        with prof.phase("audit_fold"):
-            for trace in traces:
-                self._record_broadcasts(
-                    self._begin_round(trace, 2),
-                    2,
-                    sender_arr,
-                    np.full(len(sender_arr), seed_bits, dtype=np.int64),
-                    np.ones(len(sender_arr), dtype=np.int64),
-                )
-
-        seed_shortcut = type(pruner) is HittingSetPruner
-
-        # Rounds 3..1+⌊k/2⌋ — one chunked mux per round.
-        for t in range(2, k // 2 + 1):
-            with prof.phase("priority_mux"):
-                bestR, bestA, bestB, match_mask = self._mux_chunk(
-                    sending, R, A, B
-                )
-            R, A, B = bestR, bestA, bestB
-            new_sending = np.zeros((C, n), dtype=bool)
-            per_seq = self._seq_bits(t)
-            for r in range(C):
-                with prof.phase("priority_mux"):
-                    matches = np.nonzero(match_mask[r])[0]
-                    recv = self._gather_received(matches, sent_seqs[r])
-                new_sent: Dict[int, list] = {}
-                with prof.phase("round_apply"):
-                    if t == 2 and seed_shortcut:
-                        keep = k - 1
-                        for v, lst in recv.items():
-                            lst.sort()
-                            my = ids[v]
-                            new_sent[v] = [s + (my,) for s in lst[:keep]]
-                            new_sending[r, v] = True
-                    else:
-                        for v, lst in recv.items():
-                            send = process_phase2_round(
-                                ids[v], sort_sequences(lst), k, t, pruner
-                            )
-                            if send:
-                                new_sent[v] = send
-                                new_sending[r, v] = True
-                sent_seqs[r] = new_sent
-                senders = np.fromiter(
-                    new_sent, dtype=np.int64, count=len(new_sent)
-                )
-                senders.sort()
-                lens = np.fromiter(
-                    (len(new_sent[int(v)]) for v in senders),
-                    dtype=np.int64,
-                    count=len(senders),
-                )
-                with prof.phase("audit_fold"):
-                    self._record_broadcasts(
-                        self._begin_round(traces[r], t + 1),
-                        t + 1,
-                        senders,
-                        self._bits_tagged_overhead + lens * per_seq,
-                        lens,
-                    )
-            sending = new_sending
-
-        # Final decision per repetition (no further communication).
-        with prof.phase("priority_mux"):
-            bestR, bestA, bestB, match_mask = self._mux_chunk(sending, R, A, B)
-        runs = []
-        for r in range(C):
-            with prof.phase("priority_mux"):
-                matches = np.nonzero(match_mask[r])[0]
-                recv = self._gather_received(matches, sent_seqs[r])
-            with prof.phase("decision"):
-                for v, lst in recv.items():
-                    received = sort_sequences(lst)
-                    own = sent_seqs[r].get(v, [])
-                    if own and not (
-                        R[r, v] == bestR[r, v]
-                        and A[r, v] == bestA[r, v]
-                        and B[r, v] == bestB[r, v]
-                    ):
-                        own = []  # stale tag: the node switched executions
-                    cycle = find_detection_evidence(ids[v], k, own, received)
-                    if cycle is not None:
-                        outputs[r][v] = DetectionOutcome(
-                            rejects=True, cycle=cycle
-                        )
-            assert traces[r].num_rounds == protocol_rounds(k)
-            runs.append(RunResult(outputs[r], traces[r]))
-        return runs
-
-    def iter_tester_chunk(self, k: int, rep_seeds, *, pruner=None):
-        """Chunked tester iteration: :attr:`rep_chunk` repetitions per
-        batched kernel pass, each repetition's telemetry export deferred
-        to its yield.  Falls back to the serial base path for chunk size
-        1, strict-bandwidth audits (the mid-repetition raise must happen
-        in execution order), and edgeless graphs.
-        """
-        if self.rep_chunk <= 1 or self._strict or self._net.graph.m == 0:
-            yield from super().iter_tester_chunk(k, rep_seeds, pruner=pruner)
-            return
-        seeds = [int(s) for s in rep_seeds]
-        for i in range(0, len(seeds), self.rep_chunk):
-            for run in self._run_tester_chunk(
-                k, seeds[i: i + self.rep_chunk], pruner
-            ):
-                yield self._finish(run)
 
     # ------------------------------------------------------------------
     # Engine entry points

@@ -52,11 +52,9 @@ class CkFreenessTester:
         Forward to the engine: raise if any message exceeds the
         CONGEST bit budget.
     engine:
-        Scheduler backend: ``"reference"`` (per-node simulation),
-        ``"fast"`` (batched numpy) or ``"sharded"`` (multi-process
-        shared memory; accepts a shard count, e.g. ``"sharded:4"``);
-        see :mod:`repro.congest.engine`.  All produce identical
-        verdicts under a fixed seed.
+        Scheduler backend: ``"reference"`` (per-node simulation) or
+        ``"fast"`` (batched numpy); see :mod:`repro.congest.engine`.
+        Both produce identical verdicts under a fixed seed.
     faults:
         Optional :class:`~repro.congest.faults.FaultModel`: run every
         repetition over unreliable links (reference engine only).
@@ -168,10 +166,8 @@ class CkFreenessTester:
             rounds_per_repetition=rounds_per_repetition(self.k),
         )
         with telemetry.span("tester.run", k=self.k, engine=self.engine):
-            # Engines batch repetitions in verdict-identical chunks (the
-            # ``chunk=C`` spec option); the generator defers each
-            # repetition's telemetry export to its yield, so breaking on
-            # the first reject leaves serial-identical aggregates.
+            # One repetition per yield: breaking on the first reject
+            # runs (and exports telemetry for) no later repetition.
             runs = eng.iter_tester_chunk(
                 self.k,
                 [int(rep_seeds[i]) for i in range(self.repetitions)],

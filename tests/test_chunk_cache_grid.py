@@ -1,21 +1,14 @@
-"""Bit-identity of the tester across the performance axes.
+"""Bit-identity of the tester across engines and the engine cache.
 
-The batched-repetition kernels (``chunk=C`` engine-spec option) and the
-compiled-instance cache (:class:`~repro.congest.engine.cache.EngineCache`)
-are *transparent* optimisations: under a fixed seed, every cell of the
+The compiled-instance cache (:class:`~repro.congest.engine.cache.EngineCache`)
+is a *transparent* optimisation: under a fixed seed, every cell of the
 
-    ``rep_chunk in {1, 3, R}  x  cache in {off, on}  x  engine family``
+    ``cache in {off, on}  x  engine in {reference, fast}``
 
 grid must produce the same verdict, the same per-repetition reports and
 evidence, the same trace aggregates, and the same protocol-level
 telemetry counters.  This module pins that contract down to byte
 equality of the full result fingerprint.
-
-One deliberate carve-out: ``repro_shard_*`` metrics are the sharded
-backend's *dispatch* diagnostics — a chunked run sends one command per
-chunk where a serial run sends one per repetition, so dispatch counts
-legitimately differ.  Everything protocol-determined
-(``repro_congest_*``, ``repro_tester_*``) must still match exactly.
 """
 
 import pytest
@@ -30,8 +23,7 @@ EPS = 0.1
 REPS = 6
 SEED = 1234
 
-FAMILIES = ("reference", "fast", "sharded")
-CHUNKS = (1, 3, REPS)
+ENGINES = ("reference", "fast")
 
 
 def _graph(name):
@@ -41,23 +33,10 @@ def _graph(name):
     return ck_free_graph(60, K, seed=4)
 
 
-def _specs(family):
-    """Every spec spelling of ``family`` on the chunk axis.
-
-    ``reference`` takes no options (its repetitions are inherently
-    serial), so its chunk axis collapses to the bare name.
-    """
-    if family == "reference":
-        return ("reference",)
-    if family == "fast":
-        return tuple(f"fast:chunk={c}" for c in CHUNKS)
-    return tuple(f"sharded:2,chunk={c}" for c in CHUNKS)
-
-
-def _run(spec, graph, cache):
+def _run(engine, graph, cache):
     tel = Telemetry()
     tester = CkFreenessTester(
-        K, EPS, repetitions=REPS, engine=spec, telemetry=tel, cache=cache
+        K, EPS, repetitions=REPS, engine=engine, telemetry=tel, cache=cache
     )
     res = tester.run(graph, seed=SEED, stop_on_reject=False, keep_traces=True)
     return res, tel.summary()
@@ -84,20 +63,10 @@ def _fingerprint(res):
     )
 
 
-def _normalise(summary, spec, family):
-    """Summary keys with engine labels folded to a placeholder.
-
-    Tester counters are labelled with the full spec string
-    (``engine=fast:chunk=3``) and trace exports with the backend name
-    (``engine=fast``); both are presentation, not protocol.  Shard
-    dispatch internals are dropped (see module docstring).
-    """
-    out = {}
-    for key, value in summary.items():
-        if key.startswith("repro_shard_"):
-            continue
-        out[key.replace(spec, "<engine>").replace(family, "<engine>")] = value
-    return out
+def _normalise(summary, engine):
+    """Summary keys with the engine label folded to a placeholder: the
+    label is presentation, not protocol."""
+    return {key.replace(engine, "<engine>"): v for key, v in summary.items()}
 
 
 @pytest.mark.parametrize("name", ["far", "free"])
@@ -106,13 +75,12 @@ def test_grid_bit_identity(name):
     cache = EngineCache()
     fingerprints = {}
     summaries = {}
-    for family in FAMILIES:
-        for spec in _specs(family):
-            for cached in (False, True):
-                res, summary = _run(spec, graph, cache if cached else None)
-                cell = (family, spec, cached)
-                fingerprints[cell] = _fingerprint(res)
-                summaries[cell] = _normalise(summary, spec, family)
+    for engine in ENGINES:
+        for cached in (False, True):
+            res, summary = _run(engine, graph, cache if cached else None)
+            cell = (engine, cached)
+            fingerprints[cell] = _fingerprint(res)
+            summaries[cell] = _normalise(summary, engine)
 
     cells = list(fingerprints)
     base = cells[0]
@@ -127,27 +95,18 @@ def test_grid_bit_identity(name):
     # The verdict matches the instance by construction.
     assert fingerprints[base][0] is (name == "free")
 
-    # The shared cache actually carried the load: one compile per
-    # (spec, strictness) pair, every later cached run a hit.
-    assert cache.misses == sum(len(_specs(f)) for f in FAMILIES)
+    # The shared cache actually carried the load: one compile per engine.
+    assert cache.misses == len(ENGINES)
     assert cache.hits == 0
 
 
-@pytest.mark.parametrize("family", ["fast", "sharded"])
-def test_warm_cache_hits_are_identical(family):
-    """A second cached run is served from cache and still bit-identical.
-
-    Compile-time diagnostics (shard count, pool spawns) land in the
-    registry of the run that compiled the engine — another reason the
-    ``repro_shard_*`` family sits outside the identity contract.
-    """
+@pytest.mark.parametrize("engine", ENGINES)
+def test_warm_cache_hits_are_identical(engine):
+    """A second cached run is served from cache and still bit-identical."""
     graph = _graph("far")
     cache = EngineCache()
-    spec = _specs(family)[1]  # chunk=3
-    first, tel_first = _run(spec, graph, cache)
-    second, tel_second = _run(spec, graph, cache)
+    first, tel_first = _run(engine, graph, cache)
+    second, tel_second = _run(engine, graph, cache)
     assert cache.misses == 1 and cache.hits == 1
     assert _fingerprint(first) == _fingerprint(second)
-    assert _normalise(tel_first, spec, family) == _normalise(
-        tel_second, spec, family
-    )
+    assert tel_first == tel_second

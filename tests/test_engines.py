@@ -114,11 +114,9 @@ class TestFastRngExactness:
 
 class TestEngineRegistry:
     def test_names_and_availability(self):
-        assert ENGINE_NAMES == ("reference", "fast", "sharded")
-        # numpy is installed in the test environment: all must be usable
-        # (sharded additionally needs multiprocessing.shared_memory,
-        # present on every supported CPython).
-        assert available_engines() == ("reference", "fast", "sharded")
+        assert ENGINE_NAMES == ("reference", "fast")
+        # numpy is installed in the test environment: both must be usable.
+        assert available_engines() == ("reference", "fast")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -136,6 +134,49 @@ class TestEngineRegistry:
             engine_mod.ensure_engine_available("fast")
         # The reference engine is unaffected.
         engine_mod.ensure_engine_available("reference")
+
+
+@pytest.fixture(scope="module")
+def service_client():
+    from repro.service import ServerHarness
+
+    with ServerHarness() as harness:
+        yield harness.client()
+
+
+@pytest.mark.parametrize(
+    "spec", ["fast:chunk=8", "sharded", "sharded:2", "sharded:4,chunk=8"]
+)
+def test_removed_engine_spellings_are_rejected(spec, service_client):
+    """Engine specs take no options and only two backends exist: the
+    sharded backend and the repetition-chunk option are rejected at every
+    engine-name position (spec parser, campaign factor, service session,
+    CLI), with an error naming the backends that remain."""
+    import json
+
+    from repro.congest.engine import parse_engine_spec
+
+    with pytest.raises(ConfigurationError, match="reference, fast"):
+        parse_engine_spec(spec)
+    with pytest.raises(ConfigurationError, match="reference, fast"):
+        CampaignSpec(
+            name="removed", generators=[{"family": "cycle", "params": {"n": 5}}],
+            engines=[spec],
+        ).validate()
+    status, payload = service_client.request(
+        "POST", "/v1/sessions",
+        body=json.dumps({"k": 3, "n": 4, "engine": spec}).encode(),
+    )
+    assert status == 400
+    assert set(payload) == {"error"}
+    assert payload["error"]["code"] == "bad_request"
+    assert payload["error"]["status"] == 400
+    assert "reference, fast" in payload["error"]["message"]
+    # The CLI's --engine type check makes it an argparse usage error.
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["test", "--generator", "cycle", "--n", "8", "--k", "4",
+                  "--engine", spec])
+    assert exc.value.code == 2
 
 
 class TestCrossEngineEquivalence:
