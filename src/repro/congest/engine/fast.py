@@ -10,19 +10,27 @@ per round with vectorized array operations:
   jump-ahead → Lemire pipeline, every draw of every owner in one array
   pass), so the fast engine consumes the exact random stream the
   reference engine's per-node Generators would.
-* **Minimum-rank selection and the §3.1 priority rule** are
-  struct-of-arrays operations: each node's current execution tag is a
-  ``(rank, edge_u, edge_v)`` triple held in three int64 arrays, and the
-  per-round multiplexing (take the lexicographically smallest tag among
-  your own and your sending neighbours') is one ``np.lexsort`` over the
-  half-edge arrays.
+* **Execution tags are single integers.**  Edge indices run in ``(a, b)``
+  ID order (they come from ``np.unique`` of the packed ID pairs), so one
+  stable ``argsort`` of the ranks gives every edge a *priority* in
+  ``[0, m)`` that orders edges exactly as the ``(rank, a, b)`` tag does;
+  ``m`` means "no tag".  Minimum selection and the §3.1 priority rule
+  (serve the smallest tag among your own and your sending neighbours')
+  are both segment minima over the CSR half-edge arrays.
+* **Messages live in CSR slot arrays**: a round's sends are one int64
+  matrix of ID sequences, one row per sequence, grouped by ascending
+  sender.  Delivery to the half-edges that survive the priority rule is
+  a ``repeat``/``arange`` gather; the round-2 seed step of the default
+  pruner is one ``lexsort`` and a cut at ``k - 1`` per receiver.
 * **Sequence processing** (Instructions 10–27 and the final decision)
   runs through the *same* pure functions as the reference engine —
   :func:`~repro.core.algorithm1.process_phase2_round` and
-  :func:`~repro.core.algorithm1.find_detection_evidence` — but only for
-  the nodes that actually received sequences under their winning tag,
-  which is what makes the verdict equivalence structural rather than
-  statistical.
+  :func:`~repro.core.algorithm1.find_detection_evidence` — which is what
+  makes the verdict equivalence structural rather than statistical.
+  The decision is only evaluated where it can succeed: a pair reaching
+  ``k`` distinct IDs is disjoint, so by Lemma 1 its two sequences start
+  at different endpoints of the winning tag's edge, which a per-node
+  ``bincount`` checks for every node at once.
 * **The bit audit is aggregate instead of per-message**: a broadcast
   costs the same bits on every incident edge, so per-round totals,
   maxima and strict-mode budget violations are computed from per-sender
@@ -44,7 +52,7 @@ should use the reference engine.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -58,32 +66,22 @@ from .fastrng import MAX_UINT32_ENTROPY, JumpTable, RankStreams
 
 __all__ = ["FastEngine"]
 
-#: Sentinel rank for "no tag"; real ranks are in [1, m**2].
-_INF = np.int64(1) << np.int64(62)
-
 
 def draw_owner_ranks(
     owner_ids: np.ndarray,
     counts: np.ndarray,
-    rep_seeds: Sequence[int],
+    rep_seed: int,
     m: int,
     jumps: JumpTable,
 ) -> np.ndarray:
-    """Phase-1 ranks of the owners ``owner_ids`` for several repetitions.
+    """Phase-1 ranks of the owners ``owner_ids`` for repetition ``rep_seed``.
 
-    Row ``r`` holds repetition ``rep_seeds[r]``'s draws: ``counts[i]``
-    ranks in ``[1, m**2]`` from owner ``i``'s stream, owner by owner —
-    the order of the owned half-edges.  The per-``(rep, owner)`` streams
-    are independent, so stacking all of them into one
-    :class:`RankStreams` batch leaves every stream's draws bit-identical
-    to the reference engine's.
+    ``counts[i]`` ranks in ``[1, m**2]`` from owner ``i``'s stream, owner
+    by owner — the order of the owned half-edges — bit-identical to the
+    reference engine's per-node draws.
     """
-    words = np.asarray([int(s) & 0x7FFFFFFF for s in rep_seeds], dtype=np.uint64)
-    streams = RankStreams(
-        np.repeat(words, len(owner_ids)), np.tile(owner_ids, len(words)), jumps
-    )
-    ranks = streams.draw(np.tile(counts, len(words)), 1, m * m + 1)
-    return ranks.reshape(len(words), -1)
+    streams = RankStreams(int(rep_seed) & 0x7FFFFFFF, owner_ids, jumps)
+    return streams.draw(counts, 1, m * m + 1)
 
 
 class FastEngine(CongestEngine):
@@ -108,41 +106,50 @@ class FastEngine(CongestEngine):
             )
         self._ids = ids
         self._id_list: List[int] = ids.tolist()
+        self._vertex_list: List[int] = list(range(g.n))
         indptr, indices = g.to_csr()
         self._indptr = indptr
         self._indices = indices
         degrees = np.diff(indptr)
         self._degrees = degrees
-        n = g.n
-        self._all_v = np.arange(n, dtype=np.int64)
+        # Non-isolated vertices and where their CSR segments start: the
+        # segment minima below skip the empty segments of isolated ones.
+        self._active = np.nonzero(degrees > 0)[0]
+        self._seg_starts = indptr[:-1][self._active]
         # Half-edge arrays: one (src, dst) entry per directed adjacency.
-        he_src = np.repeat(self._all_v, degrees)
+        he_src = np.repeat(np.arange(g.n, dtype=np.int64), degrees)
         self._he_src = he_src
         self._he_dst = indices
         src_id = ids[he_src]
         dst_id = ids[indices]
         a = np.minimum(src_id, dst_id)
         b = np.maximum(src_id, dst_id)
-        self._he_a = a
-        self._he_b = b
-        # Canonical edge index per half-edge (IDs fit 32 bits: pack exactly).
+        # Canonical edge index per half-edge (IDs fit 32 bits: pack
+        # exactly); indices ascend in (a, b) order, the tag tie-break.
         packed = (a.astype(np.uint64) << np.uint64(32)) | b.astype(np.uint64)
         uniq, edge_of_he = np.unique(packed, return_inverse=True)
         if len(uniq) != g.m:  # pragma: no cover - Graph guarantees simple
             raise CongestError("inconsistent edge count in CSR compile")
         self._edge_of_he = edge_of_he
+        self._edge_a = (uniq >> np.uint64(32)).astype(np.int64)
+        self._edge_b = (uniq & np.uint64(0xFFFFFFFF)).astype(np.int64)
         # Owned half-edges (src ID < dst ID), in the reference draw order:
         # by owner vertex, then ascending neighbour ID.
         owned = np.nonzero(src_id < dst_id)[0]
-        order = np.lexsort((dst_id[owned], he_src[owned]))
-        self._owned_he = owned[order]
-        owner_of_owned = he_src[self._owned_he]
-        owners, counts = np.unique(owner_of_owned, return_counts=True)
+        owned = owned[np.lexsort((dst_id[owned], he_src[owned]))]
+        self._owned_edge = edge_of_he[owned]
+        owners, counts = np.unique(he_src[owned], return_counts=True)
         self._owners = owners
         self._owner_counts = counts
         # PCG64 jump-ahead coefficients for the busiest owner's draws.
         self._jumps = JumpTable.for_draws(
             int(counts.max()) if len(counts) else 0, 1, g.m * g.m + 1
+        )
+        # Rank outboxes insert in ascending neighbour-ID order, so the
+        # first round-1 delivery is the first owner's smallest owned ID.
+        self._rank_max_edge = (
+            (self._id_list[int(owners[0])], int(dst_id[owned[0]]))
+            if len(owners) else None
         )
         # Audit constants (computed through the public SizeModel API so the
         # aggregate audit charges exactly what per-message observe() would).
@@ -153,7 +160,7 @@ class FastEngine(CongestEngine):
         )
         self._bits_untagged_overhead = model.bundle_bits(SequenceBundle(frozenset()))
         self._seq_bits_cache: Dict[int, int] = {}
-        self._budget = model.budget_bits(n)
+        self._budget = model.budget_bits(g.n)
 
     def _seq_bits(self, seq_len: int) -> int:
         """Bit cost of one length-``seq_len`` ID sequence."""
@@ -170,9 +177,10 @@ class FastEngine(CongestEngine):
             arr.nbytes
             for arr in (
                 self._ids, self._indptr, self._indices, self._degrees,
-                self._all_v, self._he_src, self._he_dst, self._he_a,
-                self._he_b, self._edge_of_he, self._owned_he, self._owners,
-                self._owner_counts, self._jumps.coeffs,
+                self._active, self._seg_starts, self._he_src, self._he_dst,
+                self._edge_of_he, self._edge_a, self._edge_b,
+                self._owned_edge, self._owners, self._owner_counts,
+                self._jumps.coeffs,
             )
         )
 
@@ -234,94 +242,80 @@ class FastEngine(CongestEngine):
         return overhead + num_seqs * self._seq_bits(seq_len)
 
     # ------------------------------------------------------------------
-    # Shared phase-2 machinery
+    # Tester kernels: integer tags, CSR message slots
     # ------------------------------------------------------------------
-    def _mux(
-        self,
-        sending: np.ndarray,
-        R: np.ndarray,
-        A: np.ndarray,
-        B: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized §3.1 priority rule for every node at once.
-
-        Returns the per-node winning tag ``(bestR, bestA, bestB)`` — the
-        lexicographic minimum of the node's own tag and the tags of its
-        neighbours that sent this round — plus the half-edge indices
-        whose sender matches the receiver's winning tag (the messages
-        that survive the rule; all others are discarded).
-        """
-        he_src, he_dst = self._he_src, self._he_dst
-        send_mask = sending[he_dst]
-        cr = np.where(send_mask, R[he_dst], _INF)
-        ca = np.where(send_mask, A[he_dst], _INF)
-        cb = np.where(send_mask, B[he_dst], _INF)
-        owners = np.concatenate([he_src, self._all_v])
-        kr = np.concatenate([cr, R])
-        ka = np.concatenate([ca, A])
-        kb = np.concatenate([cb, B])
-        order = np.lexsort((kb, ka, kr, owners))
-        sorted_owners = owners[order]
-        first = np.searchsorted(sorted_owners, self._all_v, side="left")
-        bestR = kr[order][first]
-        bestA = ka[order][first]
-        bestB = kb[order][first]
-        matches = np.nonzero(
-            send_mask
-            & (R[he_dst] == bestR[he_src])
-            & (A[he_dst] == bestA[he_src])
-            & (B[he_dst] == bestB[he_src])
-        )[0]
-        return bestR, bestA, bestB, matches
-
-    def _gather_received(
-        self, matches: np.ndarray, sent_seqs: Dict[int, list]
-    ) -> Dict[int, list]:
-        """Concatenate surviving senders' sequences per receiving node."""
-        recv: Dict[int, list] = {}
-        src = self._he_src[matches].tolist()
-        dst = self._he_dst[matches].tolist()
-        for v, u in zip(src, dst):
-            seqs = sent_seqs.get(u)
-            if not seqs:
-                continue
-            bucket = recv.get(v)
-            if bucket is None:
-                recv[v] = list(seqs)
-            else:
-                bucket.extend(seqs)
-        return recv
-
-    # ------------------------------------------------------------------
-    # Phase 1: rank draws + selection
-    # ------------------------------------------------------------------
-    def _draw_edge_ranks(self, rep_seeds: Sequence[int]) -> np.ndarray:
-        """Per-edge Phase-1 ranks, one row per repetition seed,
-        bit-identical to the reference draws."""
+    def _draw_edge_ranks(self, rep_seed: int) -> np.ndarray:
+        """Per-edge Phase-1 ranks of one repetition, bit-identical to the
+        reference draws."""
         m = self._net.graph.m
-        edge_rank = np.zeros((len(rep_seeds), m), dtype=np.int64)
-        if len(self._owners):
-            edge_rank[:, self._edge_of_he[self._owned_he]] = draw_owner_ranks(
-                self._ids[self._owners], self._owner_counts, rep_seeds, m, self._jumps
-            )
+        edge_rank = np.empty(m, dtype=np.int64)
+        edge_rank[self._owned_edge] = draw_owner_ranks(
+            self._ids[self._owners], self._owner_counts, rep_seed, m, self._jumps
+        )
         return edge_rank
 
-    def _select_minima(
-        self, edge_rank: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-node minimum incident tag ``(rank, edge)`` (round 2)."""
-        n = self._net.n
-        he_rank = edge_rank[self._edge_of_he]
-        order = np.lexsort((self._he_b, self._he_a, he_rank, self._he_src))
-        sorted_src = self._he_src[order]
-        R = np.full(n, _INF, dtype=np.int64)
-        A = np.full(n, _INF, dtype=np.int64)
-        B = np.full(n, _INF, dtype=np.int64)
-        present, first = np.unique(sorted_src, return_index=True)
-        R[present] = he_rank[order][first]
-        A[present] = self._he_a[order][first]
-        B[present] = self._he_b[order][first]
-        return R, A, B
+    def _segment_min(self, he_values: np.ndarray, none: int) -> np.ndarray:
+        """Per-vertex minimum of a half-edge array (``none`` for isolated
+        vertices)."""
+        out = np.full(len(self._degrees), none, dtype=np.int64)
+        out[self._active] = np.minimum.reduceat(he_values, self._seg_starts)
+        return out
+
+    def _priority_rule(
+        self, tag: np.ndarray, count: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The §3.1 rule for every node at once.
+
+        ``tag`` holds each node's tag priority (``m``: none) and ``count``
+        how many sequences it sent last round, under that tag.  Returns
+        the winning tags — the minimum of the node's own and its sending
+        neighbours' — and the half-edges (grouped by ascending receiver)
+        whose sender's tag wins at the receiver: the deliveries that
+        survive the rule.
+        """
+        none = len(self._edge_a)
+        sent = count[self._he_dst] > 0
+        sent_tag = np.where(sent, tag[self._he_dst], none)
+        best = np.minimum(tag, self._segment_min(sent_tag, none))
+        return best, np.nonzero(sent & (sent_tag == best[self._he_src]))[0]
+
+    def _gather(
+        self, start: np.ndarray, count: np.ndarray, he: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Deliver the slot rows of the senders on half-edges ``he``:
+        ``(receiver, slot row)`` per delivered sequence, in ``he`` order."""
+        senders = self._he_dst[he]
+        c = count[senders]
+        offset = start[senders] - (np.cumsum(c) - c)  # slot row - output index
+        rows = np.arange(c.sum()) + np.repeat(offset, c)
+        return np.repeat(self._he_src[he], c), rows
+
+    def _starts_at_endpoints(
+        self, owner: np.ndarray, first: np.ndarray, tag: np.ndarray, order: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per node: does some row it owns start at endpoint ``a`` /
+        endpoint ``b`` of its tag's edge?  ``first`` holds each row's
+        first ID and ``order`` maps a tag priority to its edge index."""
+        n = len(self._degrees)
+        edge = order[tag[owner]]
+        at_a = np.bincount(owner[first == self._edge_a[edge]], minlength=n) > 0
+        at_b = np.bincount(owner[first == self._edge_b[edge]], minlength=n) > 0
+        return at_a, at_b
+
+    def _audit_sends(
+        self, stats: RoundStats, round_index: int, count: np.ndarray, seq_len: int
+    ) -> None:
+        """Aggregate-audit a round whose node ``v`` broadcast ``count[v]``
+        tagged sequences of ``seq_len`` IDs."""
+        senders = np.nonzero(count)[0]
+        lens = count[senders]
+        self._record_broadcasts(
+            stats,
+            round_index,
+            senders,
+            self._bits_tagged_overhead + lens * self._seq_bits(seq_len),
+            lens,
+        )
 
     # ------------------------------------------------------------------
     # Engine entry points
@@ -329,9 +323,9 @@ class FastEngine(CongestEngine):
     def run_tester_repetition(
         self, k: int, rep_seed: int, *, pruner=None
     ) -> RunResult:
-        """One tester repetition, batched: vectorized rank draws and
-        tag multiplexing, per-node sequence work only where messages
-        survive the priority rule.  Verdict-identical to the
+        """One tester repetition, batched: vectorized rank draws, integer
+        tags and CSR message slots; per-node sequence work only where the
+        pruner or the decision needs it.  Verdict-identical to the
         reference engine under the same ``rep_seed``."""
         from ...core.algorithm1 import (
             DetectionOutcome,
@@ -346,12 +340,12 @@ class FastEngine(CongestEngine):
         pruner = pruner if pruner is not None else HittingSetPruner()
         prof = self._profiler
         g = self._net.graph
-        n = g.n
+        n, m = g.n, g.m
         ids = self._id_list
-        trace = ExecutionTrace(n=n, m=g.m, size_model=self._size_model)
+        trace = ExecutionTrace(n=n, m=m, size_model=self._size_model)
         accept = DetectionOutcome(rejects=False)
-        outputs: Dict[int, DetectionOutcome] = {v: accept for v in range(n)}
-        if g.m == 0:
+        outputs = dict.fromkeys(self._vertex_list, accept)
+        if m == 0:
             # Edgeless network: every node is silent and accepts (same as
             # the reference scheduler running the programs to completion).
             for r in range(1, protocol_rounds(k) + 1):
@@ -361,103 +355,106 @@ class FastEngine(CongestEngine):
         # Round 1 — every owned edge's rank crosses the edge (one message).
         stats = self._begin_round(trace, 1)
         with prof.phase("rank_draws"):
-            edge_rank = self._draw_edge_ranks([rep_seed])[0]
-        if len(self._owners):
-            bits = self._bits_rank_msg
-            stats.messages = g.m
-            stats.total_bits = bits * g.m
-            stats.max_message_bits = bits
-            # Rank outboxes insert in ascending neighbour-ID order, so
-            # the first delivery is the first owner's smallest owned ID.
-            first_owner = int(self._owners[0])
-            first_he = int(self._owned_he[0])
-            stats.max_edge = (ids[first_owner], int(self._he_b[first_he]))
-            if self._strict and bits > self._budget:
-                raise BandwidthExceededError(1, stats.max_edge, bits, self._budget)
+            edge_rank = self._draw_edge_ranks(rep_seed)
+        bits = self._bits_rank_msg
+        stats.messages = m
+        stats.total_bits = bits * m
+        stats.max_message_bits = bits
+        stats.max_edge = self._rank_max_edge
+        if self._strict and bits > self._budget:
+            raise BandwidthExceededError(1, stats.max_edge, bits, self._budget)
 
         # Round 2 — minimum selection; every non-isolated node broadcasts
-        # its seed sequence under its chosen tag.
+        # its seed sequence under its chosen tag.  Priority p orders edges
+        # as (rank, a, b) does: the stable sort breaks rank ties by edge
+        # index, i.e. by (a, b).
         stats = self._begin_round(trace, 2)
         with prof.phase("min_select"):
-            R, A, B = self._select_minima(edge_rank)
-        sending = self._degrees > 0
-        sender_arr = np.nonzero(sending)[0]
-        sent_seqs: Dict[int, list] = {v: [(ids[v],)] for v in sender_arr.tolist()}
-        seed_bits = self._bundle_bits(1, 1, tagged=True)
+            order = np.argsort(edge_rank, kind="stable")
+            priority = np.empty(m, dtype=np.int64)
+            priority[order] = np.arange(m)
+            tag = self._segment_min(priority[self._edge_of_he], m)
+        # Message slots: node owner[i] sent row i of seqs; owner ascends,
+        # so node v's count[v] rows start at row start[v].
+        owner = self._active
+        seqs = self._ids[owner][:, None]
+        count = np.bincount(owner, minlength=n)
+        start = np.cumsum(count) - count
         with prof.phase("audit_fold"):
-            self._record_broadcasts(
-                stats,
-                2,
-                sender_arr,
-                np.full(len(sender_arr), seed_bits, dtype=np.int64),
-                np.ones(len(sender_arr), dtype=np.int64),
-            )
+            self._audit_sends(stats, 2, count, 1)
 
         # The round-2 send of the default pruner has a closed form: the
         # received sequences are singleton seeds (none containing the
         # receiving ID), and HittingSetPruner keeps exactly the first
         # k-1 of them in sorted order (the residues are disjoint
         # singletons, so the q = k-2 hitting-set test passes while at
-        # most k-2 sequences are kept).  Skipping the generic pruner for
-        # this one round removes most per-node Python work.
+        # most k-2 sequences are kept).
         seed_shortcut = type(pruner) is HittingSetPruner
 
         # Rounds 3..1+⌊k/2⌋ — prioritized multiplexed Phase 2.
         for t in range(2, k // 2 + 1):
             stats = self._begin_round(trace, t + 1)
             with prof.phase("priority_mux"):
-                bestR, bestA, bestB, matches = self._mux(sending, R, A, B)
-                recv = self._gather_received(matches, sent_seqs)
-            R, A, B = bestR, bestA, bestB
-            sending = np.zeros(n, dtype=bool)
-            sent_seqs = {}
+                tag, kept = self._priority_rule(tag, count)
+                recv_v, rows = self._gather(start, count, kept)
             with prof.phase("round_apply"):
                 if t == 2 and seed_shortcut:
-                    keep = k - 1
-                    for v, lst in recv.items():
-                        lst.sort()
-                        my = ids[v]
-                        sent_seqs[v] = [s + (my,) for s in lst[:keep]]
-                        sending[v] = True
+                    first = seqs[rows, 0]
+                    by = np.lexsort((first, recv_v))
+                    recv_v, first = recv_v[by], first[by]
+                    rank = np.arange(len(by)) - np.searchsorted(recv_v, recv_v)
+                    keep = rank < k - 1
+                    owner = recv_v[keep]
+                    seqs = np.column_stack((first[keep], self._ids[owner]))
                 else:
-                    for v, lst in recv.items():
+                    received = list(map(tuple, seqs[rows].tolist()))
+                    receivers, lo = np.unique(recv_v, return_index=True)
+                    bounds = lo.tolist() + [len(received)]
+                    owner, sent = [], []
+                    for i, v in enumerate(receivers.tolist()):
                         send = process_phase2_round(
-                            ids[v], sort_sequences(lst), k, t, pruner
+                            ids[v],
+                            sort_sequences(received[bounds[i]: bounds[i + 1]]),
+                            k, t, pruner,
                         )
-                        if send:
-                            sent_seqs[v] = send
-                            sending[v] = True
-            per_seq = self._seq_bits(t)
-            sender_arr = np.fromiter(sent_seqs, dtype=np.int64, count=len(sent_seqs))
-            sender_arr.sort()
-            lens = np.fromiter(
-                (len(sent_seqs[int(v)]) for v in sender_arr),
-                dtype=np.int64,
-                count=len(sender_arr),
-            )
+                        owner += [v] * len(send)
+                        sent += send
+                    owner = np.asarray(owner, dtype=np.int64)
+                    seqs = np.array(sent, dtype=np.int64).reshape(-1, t)
+                count = np.bincount(owner, minlength=n)
+                start = np.cumsum(count) - count
             with prof.phase("audit_fold"):
-                self._record_broadcasts(
-                    stats,
-                    t + 1,
-                    sender_arr,
-                    self._bits_tagged_overhead + lens * per_seq,
-                    lens,
-                )
+                self._audit_sends(stats, t + 1, count, t)
 
-        # Final decision (no further communication round).  At this
-        # point sent_seqs / (R, A, B) hold the final round's non-empty
-        # sends and the tags they were sent under.
+        # Final decision (no further communication round).  A pair of
+        # sequences reaching k distinct IDs is disjoint, so (Lemma 1) its
+        # members start at different endpoints of the winning tag's edge:
+        # for odd k both are received, for even k one is the node's own
+        # last send (kept only if its tag did not change).
         with prof.phase("priority_mux"):
-            bestR, bestA, bestB, matches = self._mux(sending, R, A, B)
-            recv = self._gather_received(matches, sent_seqs)
+            best, kept = self._priority_rule(tag, count)
+            recv_v, rows = self._gather(start, count, kept)
         with prof.phase("decision"):
-            for v, lst in recv.items():
-                received = sort_sequences(lst)
-                own = sent_seqs.get(v, [])
-                if own and not (
-                    R[v] == bestR[v] and A[v] == bestA[v] and B[v] == bestB[v]
-                ):
-                    own = []  # stale tag: the node switched executions
+            recv_a, recv_b = self._starts_at_endpoints(
+                recv_v, seqs[rows, 0], best, order
+            )
+            fresh = tag == best
+            if k % 2:
+                candidates = recv_a & recv_b
+            else:
+                own_a, own_b = self._starts_at_endpoints(
+                    owner, seqs[:, 0], tag, order
+                )
+                candidates = fresh & ((own_a & recv_b) | (own_b & recv_a))
+            cand = np.nonzero(candidates)[0]
+            lo = np.searchsorted(recv_v, cand).tolist()
+            hi = np.searchsorted(recv_v, cand, side="right").tolist()
+            for i, v in enumerate(cand.tolist()):
+                received = sort_sequences(map(tuple, seqs[rows[lo[i]: hi[i]]].tolist()))
+                own = (
+                    list(map(tuple, seqs[start[v]: start[v] + count[v]].tolist()))
+                    if fresh[v] else []
+                )
                 cycle = find_detection_evidence(ids[v], k, own, received)
                 if cycle is not None:
                     outputs[v] = DetectionOutcome(rejects=True, cycle=cycle)

@@ -236,9 +236,8 @@ class RankStreams:
     ----------
     seed_word:
         The shared first entropy word (the tester uses
-        ``rep_seed & 0x7FFFFFFF``), or an array of one word per stream —
-        the engines pass ``repeat(rep_words, owners)`` to run several
-        repetitions' streams side by side in one batch.
+        ``rep_seed & 0x7FFFFFFF``), or an array of one word per stream,
+        which runs several repetitions' streams side by side in one batch.
     ids:
         One CONGEST ID per stream; stream *i* replicates
         ``np.random.default_rng(np.random.SeedSequence((seed_word, ids[i])))``

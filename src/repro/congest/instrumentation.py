@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundStats:
     """Aggregated statistics for one synchronous round."""
 
@@ -46,7 +46,7 @@ class RoundStats:
             self.max_sequences = sequences
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionTrace:
     """Full per-run record produced by the scheduler."""
 

@@ -10,7 +10,7 @@ from ..congest.instrumentation import ExecutionTrace
 __all__ = ["RepetitionReport", "TesterResult"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RepetitionReport:
     """What happened in one repetition of the protocol."""
 

@@ -249,6 +249,18 @@ class TestCrossEngineEquivalence:
         for seed in (0, 1):
             assert compare_engines_once(g, 4, seed, what="tester") == []
 
+    @staticmethod
+    def _observables(run):
+        """Every vertex's output (cycle included) and every round's audit."""
+        return (
+            {v: (o.rejects, o.cycle) for v, o in run.outputs.items()},
+            [
+                (r.round_index, r.messages, r.total_bits, r.max_message_bits,
+                 r.max_sequences, r.max_edge)
+                for r in run.trace.rounds
+            ],
+        )
+
     def test_custom_pruner_skips_the_seed_shortcut(self):
         from repro.core.pruning import ExplicitPruner
 
@@ -261,9 +273,75 @@ class TestCrossEngineEquivalence:
             b = create_engine("fast", net).run_tester_repetition(
                 k, 7, pruner=ExplicitPruner()
             )
-            assert {v for v, o in a.outputs.items() if o.rejects} == {
-                v for v, o in b.outputs.items() if o.rejects
-            }
+            assert self._observables(a) == self._observables(b)
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_full_outputs_and_audit_match_on_rejecting_graphs(self, k):
+        planted = registry.build_graph("eps-far", n=10 * k, k=k, eps=0.1, seed=k)
+        gnp = erdos_renyi_gnp(24, 0.25, seed=k)
+        gnp.add_vertex()  # isolated vertices never send nor receive
+        gnp.add_vertex()
+        rejecting = 0
+        for g in (planted, gnp):
+            net = Network(g, RandomPermutationIds(seed=k))
+            ref, fast = create_engine("reference", net), create_engine("fast", net)
+            for seed in range(8):
+                a = ref.run_tester_repetition(k, seed)
+                assert self._observables(a) == self._observables(
+                    fast.run_tester_repetition(k, seed)
+                ), (k, seed)
+                rejecting += any(o.rejects for o in a.outputs.values())
+        assert rejecting, "the grid must exercise the rejecting path"
+
+    def test_rank_ties_resolve_to_the_smaller_edge(self):
+        """On a triangle ranks are drawn from [1, 9], so the minimum is
+        often tied; the tag order (rank, a, b) must then pick the
+        (a, b)-smaller edge.  With k = 3 exactly the vertex opposite the
+        winning edge rejects, which makes the winner observable."""
+        from repro.core.phase1 import draw_ranks
+        from repro.graphs.generators import complete_graph
+
+        net = Network(complete_graph(3), RandomPermutationIds(seed=2))
+        ids = net.ids()
+        fast = create_engine("fast", net)
+        ties = 0
+        for seed in range(200):
+            tags = []
+            for my_id in ids:
+                rng = np.random.default_rng(
+                    np.random.SeedSequence((seed & 0x7FFFFFFF, my_id))
+                )
+                others = tuple(x for x in ids if x != my_id)
+                tags += [(d.rank, d.edge) for d in draw_ranks(my_id, others, 3, rng)]
+            tags.sort()
+            ties += tags[0][0] == tags[1][0]
+            winner = tags[0][1]
+            run = fast.run_tester_repetition(3, seed)
+            rejecting = [ids[v] for v, o in run.outputs.items() if o.rejects]
+            assert rejecting == [x for x in ids if x not in winner], seed
+        assert ties >= 20  # the seeds really exercise the tie-break
+        k4 = Network(complete_graph(4))
+        for seed in range(200):
+            for k in (3, 4):
+                assert compare_engines_once(
+                    k4.graph, k, seed, network=k4, what="tester"
+                ) == [], (k, seed)
+
+    def test_kept_result_records_have_no_instance_dict(self):
+        """Tester results keep one trace and report per repetition; the
+        slotted records keep that memory small."""
+        from repro.congest.instrumentation import ExecutionTrace, RoundStats
+        from repro.core.verdict import RepetitionReport
+
+        g = registry.build_graph("eps-far", n=50, k=5, eps=0.1, seed=1)
+        result = CkFreenessTester(5, 0.1, repetitions=2, engine="fast").run(
+            g, seed=0, keep_traces=True
+        )
+        for record in (result.reports[0], result.traces[0],
+                       result.traces[0].rounds[0]):
+            assert not hasattr(record, "__dict__")
+        for cls in (RoundStats, ExecutionTrace, RepetitionReport):
+            assert "__slots__" in vars(cls)
 
     def test_strict_bandwidth_raises_in_both_engines(self):
         # A tiny budget makes every Phase-2 bundle oversized.
